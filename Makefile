@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test lint lint-smoke bench bench-snapshot bench-check figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke campaignd-smoke trace-smoke no-test-binaries regen-results clean
+.PHONY: all test lint lint-smoke bench bench-snapshot bench-check figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke trace-smoke no-test-binaries regen-results clean
 
 all: test
 
@@ -102,18 +102,9 @@ snapshot-smoke:
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh
 
-# Distributed campaign chaos check (see docs/CAMPAIGND.md): a 3-worker
-# figure sweep under -race with a chaos-killed worker, RPC drop/dup
-# faults, and a kill -9'd + restarted coordinator — the final CSV must
-# be byte-identical to a single-process run, the journal exactly-once,
-# and a cache-warm resubmission must re-simulate nothing.
-campaignd-smoke:
-	./scripts/campaignd_smoke.sh
-
-# End-to-end distributed-tracing check (docs/OBSERVABILITY.md,
-# "Tracing"): an offline exemplar -> span-tree walk from figures disk
-# artefacts, then a 2-worker campaign whose trace IDs must appear in
-# the journal, the cells.csv metadata and the Perfetto export.
+# Offline tracing check (docs/OBSERVABILITY.md, "Tracing"): a figures
+# sweep's worst-trial exemplar must resolve, from disk artefacts alone,
+# to a harness/cell -> harness/attempt span tree.
 trace-smoke:
 	./scripts/trace_smoke.sh
 

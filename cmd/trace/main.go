@@ -6,9 +6,8 @@
 // open the file in Perfetto (ui.perfetto.dev) or chrome://tracing to
 // scrub through the speculation window visually.
 //
-// With -spans FILE the command instead renders a distributed-trace
-// span file (the JSON array served by a coordinator's /traces.json or
-// written by `figures -trace-out`) as an indented causal tree.
+// With -spans FILE the command instead renders a span file (the JSON
+// array written by `figures -trace-out`) as an indented causal tree.
 //
 // Usage:
 //
@@ -34,7 +33,7 @@ func main() {
 		loads     = flag.Int("loads", 1, "transient loads in the branch")
 		timeline  = flag.Bool("timeline", true, "render the per-instruction timeline")
 		chrome    = flag.String("chrome", "", "write the round as Chrome trace-event JSON (Perfetto / chrome://tracing)")
-		spansFile = flag.String("spans", "", "render a distributed-trace span file as a causal tree instead of running a round")
+		spansFile = flag.String("spans", "", "render a span file (figures -trace-out) as a causal tree instead of running a round")
 		spanTrace = flag.String("span-trace", "", "with -spans: only render this trace ID")
 	)
 	flag.Parse()
@@ -103,8 +102,8 @@ func main() {
 	}
 }
 
-// renderSpans reads a distributed-trace span file and writes its
-// causal trees to stdout, optionally filtered to one trace ID.
+// renderSpans reads a span file and writes its causal trees to
+// stdout, optionally filtered to one trace ID.
 func renderSpans(path, traceID string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -154,7 +154,7 @@ func RenderMetricsTable(w io.Writer, s telemetry.Snapshot) {
 			ex := ""
 			if h.Exemplar != nil {
 				// The exemplar links the histogram's worst observation
-				// to its trace (see /traces on the coordinator).
+				// to its trace (render it with `trace -spans`).
 				ex = fmt.Sprintf(" worst=%.0f@%s", h.Exemplar.Value, h.Exemplar.TraceID)
 			}
 			fmt.Fprintf(w, "| %s | n=%d mean=%.1f mode≤%.0f%s | %s |\n",

@@ -47,9 +47,8 @@ func resolutionSweepWith(r *harness.Runner, name string, seed int64, rounds int,
 	return sweepCollect[ResolutionPoint](r, name, resolutionCells(seed, rounds, mk))
 }
 
-// resolutionCells enumerates the Figure 2/13 sweep as independent,
-// shardable cells (the distributed campaign service leases these same
-// cells to workers — docs/CAMPAIGND.md).
+// resolutionCells enumerates the Figure 2/13 sweep as independent
+// harness cells.
 func resolutionCells(seed int64, rounds int,
 	mk func(n, loads int, seed int64) (*unxpec.Attack, error)) []harness.Cell {
 	var cells []harness.Cell
@@ -321,8 +320,7 @@ func figure12Cells(seed int64, scale int) []harness.Cell {
 }
 
 // figure12Assemble recomputes overheads and per-scheme means from the
-// completed cells — shared by the single-process path and the campaign
-// coordinator so both aggregate identically.
+// completed cells.
 func figure12Assemble(done []Figure12Cell, seed int64, scale int) Figure12Result {
 	suite := workload.Suite(scale, seed)
 	schemes := workload.StandardSchemes()

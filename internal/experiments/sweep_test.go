@@ -151,3 +151,33 @@ func TestSweepResumeByteIdenticalCSV(t *testing.T) {
 		t.Fatal("resumed CSV is not byte-identical to the uninterrupted reference")
 	}
 }
+
+// TestSweepCellEnumerationDeterministic: journal resume matches
+// records to cells by ID, so every multi-cell sweep must enumerate the
+// same IDs and seeds on every call, with no duplicates.
+func TestSweepCellEnumerationDeterministic(t *testing.T) {
+	const seed = 7
+	sweeps := map[string]func() []harness.Cell{
+		"figure2":  func() []harness.Cell { return resolutionCells(seed, 3, figure2Attack) },
+		"figure3":  func() []harness.Cell { return diffCells(seed, false, 5) },
+		"figure6":  func() []harness.Cell { return diffCells(seed, true, 5) },
+		"figure12": func() []harness.Cell { return figure12Cells(seed, 500) },
+		"figure13": func() []harness.Cell { return resolutionCells(seed, 9, figure13Attack(seed)) },
+	}
+	for name, cells := range sweeps {
+		a, b := cells(), cells()
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("%s: enumeration sizes %d vs %d", name, len(a), len(b))
+		}
+		ids := map[string]bool{}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Seed != b[i].Seed {
+				t.Fatalf("%s: enumeration not deterministic at %d: %q vs %q", name, i, a[i].ID, b[i].ID)
+			}
+			if ids[a[i].ID] {
+				t.Fatalf("%s: duplicate cell ID %q", name, a[i].ID)
+			}
+			ids[a[i].ID] = true
+		}
+	}
+}

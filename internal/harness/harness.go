@@ -53,11 +53,10 @@ type Config struct {
 	// which instrumented components treat as detached).
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, wraps every cell and attempt in teletrace
-	// spans: a cell span (root, or a child of Cell.Trace when the
-	// distributed coordinator propagated a context) with one attempt
-	// span per try, retry/backoff/resume events, and the per-trial
-	// registry armed so histogram exemplars carry the trace ID. Nil
-	// disables tracing at a one-branch cost per emit site.
+	// spans: a root cell span with one attempt span per try,
+	// retry/backoff/resume events, and the per-trial registry armed so
+	// histogram exemplars carry the trace ID. Nil disables tracing at a
+	// one-branch cost per emit site.
 	Tracer *teletrace.Tracer
 }
 
@@ -92,11 +91,6 @@ type Cell struct {
 	ID   string
 	Seed int64
 	Run  func(t *Trial) (any, error)
-	// Trace is the remote parent context for the cell's spans (a
-	// distributed coordinator's cell trace, parsed off the lease RPC
-	// header). The zero value starts a fresh trace when the runner has
-	// a tracer, so single-process campaigns trace too.
-	Trace teletrace.Context
 }
 
 // PostMortemer is anything that can snapshot itself when a trial dies.
@@ -275,8 +269,8 @@ type Outcome struct {
 	// ResumeCycle is the machine cycle of the last snapshot resume
 	// point the cell registered (0 when it never did).
 	ResumeCycle uint64
-	// TraceID is the cell's distributed trace (empty when the runner
-	// had no tracer and the cell carried no remote context).
+	// TraceID is the cell's trace (empty when the runner had no
+	// tracer).
 	TraceID string
 	Elapsed time.Duration
 	// Metrics is the final attempt's telemetry snapshot (nil when the
@@ -590,20 +584,15 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 	var resume *machine.Snapshot
 	var resumeCycle uint64
 
-	// The cell span roots (or, distributed, continues) the cell's
-	// trace; every attempt is a child. The trace ID outlives the spans:
-	// it is stamped on the outcome, the journal record and the
-	// per-trial registry's exemplars.
-	cellSpan := r.cfg.Tracer.StartSpan("harness/cell", c.Trace)
+	// The cell span roots the cell's trace; every attempt is a child.
+	// The trace ID outlives the spans: it is stamped on the outcome,
+	// the journal record and the per-trial registry's exemplars.
+	cellSpan := r.cfg.Tracer.StartRoot("harness/cell")
 	cellSpan.SetAttr("cell", id)
 	cellSpan.SetAttr("seed", fmt.Sprintf("%d", c.Seed))
 	traceID := ""
-	if ctx := cellSpan.Context(); ctx.Valid() {
-		traceID = ctx.Trace.String()
-	} else if c.Trace.Valid() {
-		// No local tracer but a propagated context: journal records and
-		// exemplars still link to the coordinator's trace.
-		traceID = c.Trace.Trace.String()
+	if tid := cellSpan.TraceID(); tid != 0 {
+		traceID = tid.String()
 	}
 	defer cellSpan.End()
 	defer func() {
@@ -614,7 +603,7 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 	for attempt := 1; attempt <= maxA; attempt++ {
 		seed := c.Seed
 		if attempt > 1 {
-			seed = PerturbSeed(c.Seed, attempt)
+			seed = perturbSeed(c.Seed, attempt)
 		}
 		span := cellSpan.StartChild("harness/attempt")
 		span.SetAttr("attempt", fmt.Sprintf("%d", attempt))
@@ -794,12 +783,10 @@ func intoTrialError(err error, t *Trial) *TrialError {
 	return te
 }
 
-// PerturbSeed derives the retry seed for an attempt (1-based): a
+// perturbSeed derives the retry seed for an attempt (1-based): a
 // splitmix64-style mix so consecutive attempts land in unrelated parts
-// of seed space, deterministically. Exported because the distributed
-// campaign coordinator applies the same perturbation policy when it
-// re-leases a cell after a content failure (internal/campaign).
-func PerturbSeed(seed int64, attempt int) int64 {
+// of seed space, deterministically.
+func perturbSeed(seed int64, attempt int) int64 {
 	z := uint64(seed) + uint64(attempt)*0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
@@ -809,24 +796,18 @@ func PerturbSeed(seed int64, attempt int) int64 {
 	return int64(z)
 }
 
-// backoff returns the exponential, jittered sleep before retrying
-// attempt (1-based attempt that just failed).
+// backoff computes the exponential, jittered delay before re-running
+// a cell after its attempt-th failure (1-based): BackoffBase doubled
+// per attempt, capped at BackoffMax, with deterministic ±25% jitter
+// derived from the seed so synchronized workers desynchronize without
+// a wall-clock or global-rand dependency.
 func backoff(cfg Config, seed int64, attempt int) time.Duration {
-	return Backoff(cfg.backoffBase(), cfg.backoffMax(), seed, attempt)
-}
-
-// Backoff computes the exponential, jittered delay before re-running
-// a cell after its attempt-th failure (1-based): base doubled per
-// attempt, capped at max, with deterministic ±25% jitter derived from
-// the seed so synchronized workers desynchronize without a wall-clock
-// or global-rand dependency. Shared with the campaign queue's requeue
-// policy (internal/campaign).
-func Backoff(base, max time.Duration, seed int64, attempt int) time.Duration {
-	d := base << uint(attempt-1)
+	max := cfg.backoffMax()
+	d := cfg.backoffBase() << uint(attempt-1)
 	if d > max || d <= 0 { // <<= also guards shift overflow
 		d = max
 	}
-	j := PerturbSeed(seed, attempt)
+	j := perturbSeed(seed, attempt)
 	frac := float64(uint64(j)%1000)/1000*0.5 - 0.25
 	return d + time.Duration(float64(d)*frac)
 }

@@ -15,12 +15,6 @@ import (
 // Everything a resumed campaign needs to replay the cell without
 // re-executing it — including failures, which resume as recorded gaps
 // (delete the journal to re-attempt them).
-//
-// The type is exported because the format is shared infrastructure:
-// the distributed campaign coordinator (internal/campaign) journals
-// its queue state through exactly these records, so a killed-and-
-// restarted campaignd resumes byte-identically the same way a
-// single-process -resume does (docs/CAMPAIGND.md).
 type Record struct {
 	Kind     string          `json:"kind"` // "cell"
 	Cell     string          `json:"cell"`
@@ -32,9 +26,9 @@ type Record struct {
 	Stack    string          `json:"stack,omitempty"`
 	Post     *cpu.PostMortem `json:"post,omitempty"`
 	Elapsed  int64           `json:"elapsed_ms"`
-	// TraceID is the distributed trace of the cell's final attempt
-	// (teletrace; empty when tracing was off), linking the journal
-	// record to its span tree on the coordinator's /traces explorer.
+	// TraceID is the trace of the cell's final attempt (teletrace;
+	// empty when tracing was off), linking the journal record to its
+	// span tree in the cmd/figures -trace-out file.
 	TraceID string `json:"trace_id,omitempty"`
 	// ResumeCycle is the machine cycle of the last snapshot resume
 	// point the cell registered (see Trial.SetResumePoint); 0 when the

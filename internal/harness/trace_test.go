@@ -62,7 +62,12 @@ func TestTracedSweepSpansAndTraceID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := store.Trace(tid)
+	var spans []teletrace.SpanData
+	for _, d := range store.Spans() {
+		if d.Trace == tid {
+			spans = append(spans, d)
+		}
+	}
 	if len(spans) != 2 {
 		t.Fatalf("stored %d spans, want cell+attempt", len(spans))
 	}
@@ -77,6 +82,21 @@ func TestTracedSweepSpansAndTraceID(t *testing.T) {
 	}
 	if cell.ID == 0 || attempt.Parent != cell.ID {
 		t.Fatalf("attempt not a child of cell: %+v / %+v", cell, attempt)
+	}
+	// Cells are always trace roots; every attempt hangs off its cell.
+	cellTrace := map[teletrace.SpanID]teletrace.TraceID{}
+	for _, d := range store.Spans() {
+		if d.Name == "harness/cell" {
+			if d.Parent != 0 {
+				t.Fatalf("cell span has parent %v, want root", d.Parent)
+			}
+			cellTrace[d.ID] = d.Trace
+		}
+	}
+	for _, d := range store.Spans() {
+		if tid, ok := cellTrace[d.Parent]; d.Name == "harness/attempt" && (!ok || tid != d.Trace) {
+			t.Fatalf("attempt span parent %v is not its cell span", d.Parent)
+		}
 	}
 	if cell.Attrs["cell"] != "fig/a" {
 		t.Fatalf("cell attrs: %+v", cell.Attrs)
@@ -133,24 +153,6 @@ func TestTracedRetrySpans(t *testing.T) {
 	}
 	if retryEvents != 2 || backoffEvents != 2 || failedAttempts != 2 {
 		t.Fatalf("retry=%d backoff=%d failed=%d, want 2/2/2", retryEvents, backoffEvents, failedAttempts)
-	}
-}
-
-func TestRemoteContextWithoutLocalTracer(t *testing.T) {
-	// A worker with tracing disabled still propagates the coordinator's
-	// trace ID into outcomes and journal records.
-	r, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := teletrace.Context{Trace: 0xabcd, Span: 0x1}
-	rep, err := r.Sweep("fig", []Cell{{ID: "a", Seed: 1, Trace: remote,
-		Run: func(tr *Trial) (any, error) { return 1, nil }}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Outcomes[0].TraceID; got != remote.Trace.String() {
-		t.Fatalf("trace ID = %q, want propagated %q", got, remote.Trace.String())
 	}
 }
 

@@ -64,8 +64,8 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 			// Exemplars ride as comment lines (the 0.0.4 text format has
 			// no native exemplar syntax; scrapers skip comments, and
 			// scripts/telemetrycheck validates the shape). The trace ID
-			// links the bucket's worst observation to its span tree on
-			// the coordinator's /traces explorer.
+			// links the bucket's worst observation to its span tree in
+			// the cmd/figures -trace-out file.
 			if ex := h.Exemplar; ex != nil {
 				if _, err := fmt.Fprintf(w, "# EXEMPLAR %s trace_id=%s value=%s\n",
 					name, ex.TraceID, formatFloat(ex.Value)); err != nil {

@@ -3,9 +3,7 @@ package teletrace
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -43,7 +41,7 @@ func WriteTree(w io.Writer, spans []SpanData) error {
 			svc = "?"
 		}
 		if _, err := fmt.Fprintf(w, "%s%s [%s] %.3fms  span=%s%s\n",
-			indent, d.Name, svc, float64(d.DurationNS())/1e6, d.ID, status); err != nil {
+			indent, d.Name, svc, float64(d.durationNS())/1e6, d.ID, status); err != nil {
 			return err
 		}
 		for _, ev := range d.Events {
@@ -81,62 +79,12 @@ func WriteTree(w io.Writer, spans []SpanData) error {
 	return nil
 }
 
-// ReadSpans decodes a JSON array of spans — the format /traces.json
-// serves per trace and cmd/trace -spans reads back from disk.
+// ReadSpans decodes a JSON array of spans — the format cmd/figures
+// -trace-out writes and cmd/trace -spans reads back from disk.
 func ReadSpans(r io.Reader) ([]SpanData, error) {
 	var spans []SpanData
 	if err := json.NewDecoder(r).Decode(&spans); err != nil {
 		return nil, fmt.Errorf("teletrace: decoding spans: %w", err)
 	}
 	return spans, nil
-}
-
-// RenderHTML renders trace summaries as the explorer's list page: a
-// minimal, dependency-free table sorted most-recent-first, with the
-// slowest and errored traces surfaced in their own sections and each
-// row linking to the per-trace JSON span tree.
-func RenderHTML(sums []Summary) []byte {
-	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html><html><head><title>traces</title><style>
-body{font-family:monospace;margin:1.5em}
-table{border-collapse:collapse}
-td,th{padding:2px 10px;text-align:left;border-bottom:1px solid #ddd}
-.err{color:#b00}
-h2{margin-top:1.2em}
-</style></head><body><h1>trace explorer</h1>
-`)
-	section := func(title string, rows []Summary) {
-		if len(rows) == 0 {
-			return
-		}
-		b.WriteString("<h2>" + html.EscapeString(title) + "</h2><table><tr><th>trace</th><th>root</th><th>service</th><th>duration</th><th>spans</th><th>events</th><th>error</th></tr>\n")
-		for _, s := range rows {
-			errCell := ""
-			if s.Error != "" {
-				errCell = `<span class="err">` + html.EscapeString(s.Error) + `</span>`
-			}
-			fmt.Fprintf(&b,
-				`<tr><td><a href="/traces.json?trace=%s">%s</a></td><td>%s</td><td>%s</td><td>%.3fms</td><td>%d</td><td>%d</td><td>%s</td></tr>`+"\n",
-				s.Trace, s.Trace, html.EscapeString(s.Root), html.EscapeString(s.Service),
-				float64(s.DurationNS)/1e6, s.Spans, s.Events, errCell)
-		}
-		b.WriteString("</table>\n")
-	}
-
-	var slow, errored []Summary
-	for _, s := range sums {
-		if s.Error != "" {
-			errored = append(errored, s)
-		}
-	}
-	slow = append(slow, sums...)
-	sort.SliceStable(slow, func(i, j int) bool { return slow[i].DurationNS > slow[j].DurationNS })
-	if len(slow) > 10 {
-		slow = slow[:10]
-	}
-	section("errored", errored)
-	section("slowest", slow)
-	section("recent", sums)
-	b.WriteString("</body></html>\n")
-	return []byte(b.String())
 }

@@ -11,17 +11,17 @@ import (
 // grow a span without bound. Excess events are counted, not stored.
 const maxEvents = 64
 
-// Event is one timestamped moment inside a span: a lease requeue, a
-// retry seed perturbation, a snapshot restore, a fast-forward jump.
+// Event is one timestamped moment inside a span: a retry seed
+// perturbation, a backoff, a snapshot restore, a fast-forward jump.
 type Event struct {
 	Name   string `json:"name"`
 	Detail string `json:"detail,omitempty"`
 	AtNS   int64  `json:"at_ns"`
 }
 
-// SpanData is the exported, wire- and storage-form of one span. It is
-// plain data: what workers ship to the coordinator in completion RPCs,
-// what the Store holds, and what the exporters consume.
+// SpanData is the exported, storage form of one span. It is plain
+// data: what the Store holds, what cmd/figures -trace-out writes as
+// JSON, and what WriteTree renders.
 type SpanData struct {
 	Trace   TraceID           `json:"trace"`
 	ID      SpanID            `json:"id"`
@@ -37,16 +37,13 @@ type SpanData struct {
 	DroppedEvents int `json:"dropped_events,omitempty"`
 }
 
-// DurationNS is the span's wall-clock extent (0 while unfinished).
-func (d SpanData) DurationNS() int64 {
+// durationNS is the span's wall-clock extent (0 while unfinished).
+func (d SpanData) durationNS() int64 {
 	if d.EndNS == 0 || d.EndNS < d.StartNS {
 		return 0
 	}
 	return d.EndNS - d.StartNS
 }
-
-// Context returns the span's identity for propagation to children.
-func (d SpanData) Context() Context { return Context{Trace: d.Trace, Span: d.ID} }
 
 // Span is a live, in-progress span handle. A nil *Span is a valid,
 // free no-op — the "tracing disabled" fast path costs the nil check
@@ -58,14 +55,6 @@ type Span struct {
 	mu    sync.Mutex
 	data  SpanData
 	ended bool
-}
-
-// Context returns the span's propagation identity (zero on nil).
-func (s *Span) Context() Context {
-	if s == nil {
-		return Context{}
-	}
-	return Context{Trace: s.data.Trace, Span: s.data.ID}
 }
 
 // TraceID returns the trace this span belongs to (0 on nil).
@@ -120,18 +109,6 @@ func (s *Span) Eventf(name, format string, args ...any) {
 	s.Event(name, fmt.Sprintf(format, args...))
 }
 
-// SetError marks the span failed. A nil error is ignored.
-func (s *Span) SetError(err error) {
-	if s == nil || err == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		s.data.Error = err.Error()
-	}
-}
-
 // SetErrorString marks the span failed with a plain message.
 func (s *Span) SetErrorString(msg string) {
 	if s == nil || msg == "" {
@@ -149,7 +126,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tr.StartSpan(name, s.Context())
+	return s.tr.start(name, s.data.Trace, s.data.ID)
 }
 
 // End finishes the span and hands it to the tracer's store. End is
@@ -166,34 +143,10 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.data.EndNS = end
-	data := s.data.clone()
 	s.mu.Unlock()
-	s.tr.record(data)
-}
-
-// Data returns a snapshot copy of the span's current state (zero value
-// on nil), usable before End for live-explorer views.
-func (s *Span) Data() SpanData {
-	if s == nil {
-		return SpanData{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.data.clone()
-}
-
-// clone deep-copies the mutable parts so stored data never aliases a
-// live span's maps and slices.
-func (d SpanData) clone() SpanData {
-	out := d
-	if d.Attrs != nil {
-		out.Attrs = make(map[string]string, len(d.Attrs))
-		for k, v := range d.Attrs {
-			out.Attrs[k] = v
-		}
-	}
-	out.Events = append([]Event(nil), d.Events...)
-	return out
+	// Every mutator is a no-op once ended, so the frozen data can be
+	// stored without a copy.
+	s.tr.record(s.data)
 }
 
 // sortSpans orders spans for stable rendering: by start time, then

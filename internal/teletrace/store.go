@@ -2,97 +2,39 @@ package teletrace
 
 import "sync"
 
-// DefaultStoreCap bounds a Store when the caller passes no capacity.
-const DefaultStoreCap = 8192
+// defaultStoreCap bounds a Store built with a non-positive capacity.
+const defaultStoreCap = 8192
 
-// spanKey is the dedup identity of a span: duplicated completion RPCs
-// (the chaos transport's DupEvery) re-deliver the same spans, and the
-// coordinator must ingest them exactly once.
-type spanKey struct {
-	trace TraceID
-	span  SpanID
-}
-
-// Store holds finished spans, bounded FIFO (oldest spans evicted
-// first) and deduplicated by (trace, span) ID. A nil *Store is a
-// valid, free no-op sink. Safe for concurrent use.
+// Store holds finished spans in insertion order, bounded FIFO: once
+// full, the oldest span is evicted first. A nil *Store is a valid,
+// free no-op sink. Safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
-	cap     int
-	spans   map[spanKey]SpanData
-	order   []spanKey // insertion order for FIFO eviction and stable export
-	dropped uint64    // duplicates rejected at ingest
-	evicted uint64    // spans evicted by the FIFO bound
+	mu    sync.Mutex
+	cap   int
+	spans []SpanData
 }
 
-// NewStore builds a store holding at most cap spans (<=0 means
-// DefaultStoreCap).
+// NewStore builds a store holding at most cap spans (<=0 means 8192).
 func NewStore(cap int) *Store {
 	if cap <= 0 {
-		cap = DefaultStoreCap
+		cap = defaultStoreCap
 	}
-	return &Store{cap: cap, spans: map[spanKey]SpanData{}}
+	return &Store{cap: cap}
 }
 
-// Add ingests one finished span. Returns false when the span was a
-// duplicate (same trace and span ID already stored) or the store is
-// nil. Spans without a trace ID are silently discarded — they can
-// never be found again.
-func (st *Store) Add(d SpanData) bool {
+// add appends one finished span, evicting the oldest when full. Spans
+// without a trace or span ID are discarded — they can never be found
+// again. Span.End is idempotent, so each span arrives exactly once.
+func (st *Store) add(d SpanData) {
 	if st == nil || d.Trace == 0 || d.ID == 0 {
-		return false
-	}
-	k := spanKey{d.Trace, d.ID}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.spans[k]; dup {
-		st.dropped++
-		return false
-	}
-	for len(st.order) >= st.cap {
-		old := st.order[0]
-		st.order = st.order[1:]
-		delete(st.spans, old)
-		st.evicted++
-	}
-	st.spans[k] = d
-	st.order = append(st.order, k)
-	return true
-}
-
-// AddAll ingests a batch (a worker's shipped spans) and returns how
-// many were new.
-func (st *Store) AddAll(spans []SpanData) int {
-	if st == nil {
-		return 0
-	}
-	n := 0
-	for _, d := range spans {
-		if st.Add(d) {
-			n++
-		}
-	}
-	return n
-}
-
-// Len returns the number of stored spans.
-func (st *Store) Len() int {
-	if st == nil {
-		return 0
+		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.spans)
-}
-
-// Dropped returns how many duplicate spans were rejected at ingest.
-func (st *Store) Dropped() uint64 {
-	if st == nil {
-		return 0
+	if len(st.spans) >= st.cap {
+		st.spans = st.spans[len(st.spans)-st.cap+1:]
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.dropped
+	st.spans = append(st.spans, d)
 }
 
 // Spans returns every stored span in insertion order.
@@ -102,130 +44,5 @@ func (st *Store) Spans() []SpanData {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]SpanData, 0, len(st.order))
-	for _, k := range st.order {
-		out = append(out, st.spans[k])
-	}
-	return out
-}
-
-// Trace returns the spans of one trace, sorted by start time then span
-// ID — the input WriteTree and WriteChrome want.
-func (st *Store) Trace(id TraceID) []SpanData {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	var out []SpanData
-	for _, k := range st.order {
-		if k.trace == id {
-			out = append(out, st.spans[k])
-		}
-	}
-	st.mu.Unlock()
-	sortSpans(out)
-	return out
-}
-
-// Drain returns every stored span (insertion order) and empties the
-// store — how a worker ships a completed cell's spans exactly once.
-func (st *Store) Drain() []SpanData {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]SpanData, 0, len(st.order))
-	for _, k := range st.order {
-		out = append(out, st.spans[k])
-	}
-	st.spans = map[spanKey]SpanData{}
-	st.order = st.order[:0]
-	return out
-}
-
-// Summary is the explorer's per-trace aggregate: the root (or
-// earliest) span's name and service, the trace's wall extent across
-// all spans, and whether anything in it failed.
-type Summary struct {
-	Trace      TraceID `json:"trace"`
-	Root       string  `json:"root"`
-	Service    string  `json:"service,omitempty"`
-	StartNS    int64   `json:"start_ns"`
-	DurationNS int64   `json:"duration_ns"`
-	Spans      int     `json:"spans"`
-	Events     int     `json:"events"`
-	Error      string  `json:"error,omitempty"`
-}
-
-// Summaries aggregates stored spans per trace, most recent first
-// (ties broken by trace ID for determinism), at most n entries (<=0
-// means all). The explorer serves these; slow and errored traces are a
-// client-side sort/filter away since duration and error ride along.
-func (st *Store) Summaries(n int) []Summary {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	byTrace := map[TraceID]*Summary{}
-	maxEnd := map[TraceID]int64{}
-	var ids []TraceID
-	for _, k := range st.order {
-		d := st.spans[k]
-		sum, ok := byTrace[d.Trace]
-		if !ok {
-			sum = &Summary{Trace: d.Trace, Root: d.Name, Service: d.Service, StartNS: d.StartNS}
-			byTrace[d.Trace] = sum
-			ids = append(ids, d.Trace)
-		}
-		sum.Spans++
-		sum.Events += len(d.Events)
-		if d.Parent == 0 {
-			// The root span names the trace; without one the
-			// first-ingested span stands in.
-			sum.Root, sum.Service = d.Name, d.Service
-		}
-		sum.StartNS = min64(sum.StartNS, d.StartNS)
-		if d.EndNS > maxEnd[d.Trace] {
-			maxEnd[d.Trace] = d.EndNS
-		}
-		if d.Error != "" && sum.Error == "" {
-			sum.Error = d.Error
-		}
-	}
-	st.mu.Unlock()
-
-	out := make([]Summary, 0, len(ids))
-	for _, id := range ids {
-		sum := *byTrace[id]
-		if end := maxEnd[id]; end > sum.StartNS {
-			sum.DurationNS = end - sum.StartNS
-		}
-		out = append(out, sum)
-	}
-	// Most recent first; trace ID tiebreak keeps output stable.
-	sortSummaries(out)
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-func sortSummaries(out []Summary) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.StartNS > b.StartNS || (a.StartNS == b.StartNS && a.Trace >= b.Trace) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return append([]SpanData(nil), st.spans...)
 }

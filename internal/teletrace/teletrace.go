@@ -1,33 +1,29 @@
-// Package teletrace is the repository's zero-dependency distributed
+// Package teletrace is the repository's zero-dependency in-process
 // tracing layer, the causal sibling of internal/telemetry's metrics:
 // spans with IDs, parent links, attributes, span events and monotonic
-// timestamps, a TraceContext that rides campaign HTTP RPC headers from
-// the coordinator's enqueue all the way into a worker's simulator
-// trial, a bounded deduplicating Store that the coordinator's live
-// trace explorer reads, and Chrome-trace/Perfetto + text-tree
-// exporters.
+// timestamps, a bounded Store that collects finished spans, and a
+// text-tree renderer. cmd/figures -trace-out dumps the store as JSON;
+// cmd/trace -spans renders it back as causal trees.
 //
 // The design premise matches telemetry's: tracing must be free when
 // nobody is looking. A nil *Tracer starts nil *Spans, and every Span,
 // Tracer and Store method no-ops on a nil receiver — so an
 // instrumented hot path (a fast-forward jump, a watchdog trip) costs
 // exactly one predictable branch when tracing is disabled. Span names
-// follow the `<service>/<verb>` convention documented in
-// docs/OBSERVABILITY.md (e.g. campaignd/cell, worker/attempt,
-// sim/trial); event names are bare kebab-case verbs (requeue,
-// fast-forward, snapshot-restore).
+// follow the `<layer>/<verb>` convention documented in
+// docs/OBSERVABILITY.md (e.g. harness/cell, harness/attempt); event
+// names are bare kebab-case verbs (retry-seed, fast-forward,
+// snapshot-restore).
 package teletrace
 
 import (
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 )
 
-// TraceID identifies one end-to-end trace (one campaign cell's whole
-// journey). Rendered as 16 hex digits everywhere a human or a journal
-// sees it.
+// TraceID identifies one trace (one harness cell's whole journey).
+// Rendered as 16 hex digits everywhere a human or a journal sees it.
 type TraceID uint64
 
 // SpanID identifies one span within a trace.
@@ -80,67 +76,4 @@ func unmarshalHexID(b []byte) (uint64, error) {
 		return 0, fmt.Errorf("teletrace: decoding ID %q: %w", s, err)
 	}
 	return v, nil
-}
-
-// Context is the propagated identity of a trace: which trace a remote
-// child belongs to and which span is its parent. The zero value is
-// "not traced" and every API treats it as such.
-type Context struct {
-	Trace TraceID
-	Span  SpanID
-}
-
-// Valid reports whether the context names a trace.
-func (c Context) Valid() bool { return c.Trace != 0 }
-
-// String renders the wire form "<trace>-<span>", 16 hex digits each.
-func (c Context) String() string {
-	return c.Trace.String() + "-" + c.Span.String()
-}
-
-// ParseContext parses the wire form produced by String. An empty
-// string parses to the zero (not-traced) context without error.
-func ParseContext(s string) (Context, error) {
-	if s == "" {
-		return Context{}, nil
-	}
-	t, sp, ok := strings.Cut(s, "-")
-	if !ok {
-		return Context{}, fmt.Errorf("teletrace: malformed trace context %q", s)
-	}
-	tid, err := ParseTraceID(t)
-	if err != nil {
-		return Context{}, err
-	}
-	sv, err := strconv.ParseUint(sp, 16, 64)
-	if err != nil {
-		return Context{}, fmt.Errorf("teletrace: parsing span ID %q: %w", sp, err)
-	}
-	return Context{Trace: tid, Span: SpanID(sv)}, nil
-}
-
-// Header is the HTTP header carrying a Context between campaign
-// processes (coordinator -> worker on lease responses, worker ->
-// coordinator on completion RPCs).
-const Header = "X-Trace-Context"
-
-// FromHeader extracts the propagated context from HTTP headers. A
-// missing or malformed header yields the zero (not-traced) context —
-// propagation is best-effort observability, never a request error.
-func FromHeader(h http.Header) Context {
-	c, err := ParseContext(h.Get(Header))
-	if err != nil {
-		return Context{}
-	}
-	return c
-}
-
-// SetHeader stamps the context onto HTTP headers; a zero context
-// removes any stale header instead.
-func (c Context) SetHeader(h http.Header) {
-	if !c.Valid() {
-		h.Del(Header)
-		return
-	}
-	h.Set(Header, c.String())
 }

@@ -3,9 +3,7 @@ package teletrace
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -15,51 +13,12 @@ import (
 // ticking 1000ns per call.
 func testTracer(service string, store *Store) *Tracer {
 	var tick int64
-	return New(Config{
-		Service: service,
-		Store:   store,
-		Seed:    42,
-		Now: func() int64 {
-			tick += 1000
-			return tick
-		},
-	})
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	c := Context{Trace: 0xdeadbeef, Span: 0x1234}
-	got, err := ParseContext(c.String())
-	if err != nil {
-		t.Fatalf("ParseContext(%q): %v", c.String(), err)
+	tr := New(Config{Service: service, Store: store, Seed: 42})
+	tr.now = func() int64 {
+		tick += 1000
+		return tick
 	}
-	if got != c {
-		t.Fatalf("round trip: got %+v want %+v", got, c)
-	}
-	if z, err := ParseContext(""); err != nil || z.Valid() {
-		t.Fatalf("empty context: got %+v, %v", z, err)
-	}
-	for _, bad := range []string{"zzz", "12-xyz", "12"} {
-		if _, err := ParseContext(bad); err == nil {
-			t.Errorf("ParseContext(%q): want error", bad)
-		}
-	}
-}
-
-func TestHeaderPropagation(t *testing.T) {
-	h := http.Header{}
-	c := Context{Trace: 7, Span: 9}
-	c.SetHeader(h)
-	if got := FromHeader(h); got != c {
-		t.Fatalf("FromHeader: got %+v want %+v", got, c)
-	}
-	Context{}.SetHeader(h)
-	if h.Get(Header) != "" {
-		t.Fatalf("zero context must clear the header, got %q", h.Get(Header))
-	}
-	h.Set(Header, "not-a-context")
-	if got := FromHeader(h); got.Valid() {
-		t.Fatalf("malformed header must yield zero context, got %+v", got)
-	}
+	return tr
 }
 
 func TestIDJSONRoundTrip(t *testing.T) {
@@ -83,14 +42,14 @@ func TestIDJSONRoundTrip(t *testing.T) {
 func TestSpanLifecycle(t *testing.T) {
 	store := NewStore(0)
 	tr := testTracer("svc", store)
-	root := tr.StartRoot("campaignd/cell")
-	if !root.Context().Valid() {
+	root := tr.StartRoot("harness/cell")
+	if root.TraceID() == 0 {
 		t.Fatal("root span has no trace ID")
 	}
 	root.SetAttr("cell", "figure3/r1")
-	root.Event("enqueue", "seed 42")
-	child := root.StartChild("campaignd/lease")
-	child.SetErrorString("lease expired")
+	root.Event("backoff", "10ms")
+	child := root.StartChild("harness/attempt")
+	child.SetErrorString("hang: deadline exceeded")
 	child.End()
 	root.End()
 	root.End() // idempotent
@@ -114,13 +73,13 @@ func TestSpanLifecycle(t *testing.T) {
 	if rootD.Attrs["cell"] != "figure3/r1" {
 		t.Fatalf("attr lost: %+v", rootD.Attrs)
 	}
-	if len(rootD.Events) != 1 || rootD.Events[0].Name != "enqueue" {
+	if len(rootD.Events) != 1 || rootD.Events[0].Name != "backoff" {
 		t.Fatalf("events: %+v (post-End event must be dropped)", rootD.Events)
 	}
-	if childD.Error != "lease expired" {
+	if childD.Error != "hang: deadline exceeded" {
 		t.Fatalf("child error: %q", childD.Error)
 	}
-	if rootD.DurationNS() <= 0 || rootD.EndNS <= rootD.StartNS {
+	if rootD.durationNS() <= 0 || rootD.EndNS <= rootD.StartNS {
 		t.Fatalf("bad timestamps: %+v", rootD)
 	}
 }
@@ -150,24 +109,17 @@ func TestNilSafety(t *testing.T) {
 	s.SetAttr("k", "v")
 	s.Event("e", "d")
 	s.Eventf("e", "%d", 1)
-	s.SetError(errors.New("boom"))
 	s.SetErrorString("boom")
 	s.End()
-	if c := s.Context(); c.Valid() {
-		t.Fatal("nil span context must be zero")
+	if s.TraceID() != 0 {
+		t.Fatal("nil span trace ID must be zero")
 	}
 	if s.StartChild("y") != nil {
 		t.Fatal("nil span child must be nil")
 	}
-	if st.Add(SpanData{Trace: 1, ID: 1}) {
-		t.Fatal("nil store must reject adds")
-	}
-	st.AddAll([]SpanData{{Trace: 1, ID: 1}})
-	if st.Len() != 0 || st.Spans() != nil || st.Trace(1) != nil || st.Drain() != nil || st.Summaries(0) != nil {
+	st.add(SpanData{Trace: 1, ID: 1})
+	if st.Spans() != nil {
 		t.Fatal("nil store reads must be empty")
-	}
-	if tr.Service() != "" || tr.Store() != nil || tr.StartSpan("x", Context{Trace: 1}) != nil {
-		t.Fatal("nil tracer accessors must be zero")
 	}
 }
 
@@ -181,136 +133,38 @@ func TestDeterministicIDs(t *testing.T) {
 	}
 }
 
-func TestStoreDedupeAndBound(t *testing.T) {
+func TestStoreBound(t *testing.T) {
 	st := NewStore(4)
-	d := SpanData{Trace: 1, ID: 1, Name: "a"}
-	if !st.Add(d) {
-		t.Fatal("first add rejected")
+	for i := 1; i <= 6; i++ {
+		st.add(SpanData{Trace: 1, ID: SpanID(i)})
 	}
-	if st.Add(d) {
-		t.Fatal("duplicate (trace,span) must be rejected")
+	// Zero-ID spans are discarded and never evict a real one.
+	st.add(SpanData{Trace: 0, ID: 9})
+	st.add(SpanData{Trace: 9, ID: 0})
+	got := st.Spans()
+	if len(got) != 4 {
+		t.Fatalf("stored %d spans, want cap 4", len(got))
 	}
-	if st.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped())
-	}
-	for i := 2; i <= 6; i++ {
-		st.Add(SpanData{Trace: 1, ID: SpanID(i)})
-	}
-	if st.Len() != 4 {
-		t.Fatalf("len = %d, want cap 4", st.Len())
-	}
-	// Oldest evicted: span 1 gone, span 6 present.
-	if got := st.Trace(1); got[0].ID != 3 {
-		t.Fatalf("FIFO eviction broken: first stored is %v", got[0].ID)
-	}
-	if st.Add(SpanData{Trace: 0, ID: 9}) || st.Add(SpanData{Trace: 9, ID: 0}) {
-		t.Fatal("spans without IDs must be discarded")
-	}
-}
-
-func TestStoreDrain(t *testing.T) {
-	st := NewStore(0)
-	st.Add(SpanData{Trace: 1, ID: 1})
-	st.Add(SpanData{Trace: 1, ID: 2})
-	got := st.Drain()
-	if len(got) != 2 || st.Len() != 0 {
-		t.Fatalf("drain: %d spans, %d left", len(got), st.Len())
-	}
-	// Drained spans can be re-ingested elsewhere (the worker->coordinator
-	// ship path).
-	st2 := NewStore(0)
-	if n := st2.AddAll(got); n != 2 {
-		t.Fatalf("re-ingest added %d, want 2", n)
-	}
-	if n := st2.AddAll(got); n != 0 {
-		t.Fatalf("duplicate batch added %d, want 0", n)
-	}
-}
-
-func TestSummaries(t *testing.T) {
-	st := NewStore(0)
-	// Trace A: root + child, child fails.
-	st.Add(SpanData{Trace: 0xa, ID: 2, Parent: 1, Name: "child", StartNS: 150, EndNS: 300, Error: "boom"})
-	st.Add(SpanData{Trace: 0xa, ID: 1, Name: "rootA", Service: "campaignd", StartNS: 100, EndNS: 400,
-		Events: []Event{{Name: "e", AtNS: 120}}})
-	// Trace B: later, clean.
-	st.Add(SpanData{Trace: 0xb, ID: 3, Name: "rootB", Service: "worker", StartNS: 1000, EndNS: 1100})
-
-	sums := st.Summaries(0)
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(sums))
-	}
-	if sums[0].Trace != 0xb {
-		t.Fatalf("most recent first: got trace %s", sums[0].Trace)
-	}
-	a := sums[1]
-	if a.Root != "rootA" || a.Service != "campaignd" {
-		t.Fatalf("root identity: %+v", a)
-	}
-	if a.StartNS != 100 || a.DurationNS != 300 {
-		t.Fatalf("extent: start=%d dur=%d, want 100/300", a.StartNS, a.DurationNS)
-	}
-	if a.Spans != 2 || a.Events != 1 || a.Error != "boom" {
-		t.Fatalf("aggregate: %+v", a)
-	}
-	if got := st.Summaries(1); len(got) != 1 || got[0].Trace != 0xb {
-		t.Fatalf("limit: %+v", got)
-	}
-}
-
-func TestWriteChrome(t *testing.T) {
-	st := NewStore(0)
-	tr := testTracer("campaignd", st)
-	root := tr.StartRoot("campaignd/cell")
-	root.Event("requeue", "backoff 20ms")
-	wtr := New(Config{Service: "worker-1", Store: st, Seed: 7, Now: func() int64 { return 5000 }})
-	child := wtr.StartSpan("worker/attempt", root.Context())
-	child.End()
-	root.End()
-
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, st.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome export is not JSON: %v\n%s", err, buf.String())
-	}
-	phases := map[string]int{}
-	services := map[string]bool{}
-	for _, e := range events {
-		ph := e["ph"].(string)
-		phases[ph]++
-		if ph == "M" {
-			services[e["args"].(map[string]any)["name"].(string)] = true
+	// Oldest evicted first; the rest stay in insertion order.
+	for i, d := range got {
+		if want := SpanID(i + 3); d.ID != want {
+			t.Fatalf("span %d = %v, want %v (FIFO eviction, insertion order)", i, d.ID, want)
 		}
-		if ph == "X" {
-			args := e["args"].(map[string]any)
-			if _, ok := args["trace_id"]; !ok {
-				t.Fatalf("X slice without trace_id: %+v", e)
-			}
-		}
-	}
-	if phases["M"] != 2 || !services["campaignd"] || !services["worker-1"] {
-		t.Fatalf("want one process lane per service, got %v / %v", phases, services)
-	}
-	if phases["X"] != 2 || phases["i"] != 1 {
-		t.Fatalf("phases: %v (want 2 X slices, 1 instant)", phases)
 	}
 }
 
 func TestWriteTreeAndReadSpans(t *testing.T) {
 	st := NewStore(0)
-	tr := testTracer("campaignd", st)
-	root := tr.StartRoot("campaignd/cell")
-	att := root.StartChild("worker/attempt")
+	tr := testTracer("figures", st)
+	root := tr.StartRoot("harness/cell")
+	att := root.StartChild("harness/attempt")
 	att.Event("retry", "seed perturbed")
 	att.End()
 	root.End()
 
 	// Round-trip through the JSON-on-disk form cmd/trace reads.
 	var jsonBuf bytes.Buffer
-	if err := json.NewEncoder(&jsonBuf).Encode(st.Trace(root.TraceID())); err != nil {
+	if err := json.NewEncoder(&jsonBuf).Encode(st.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := ReadSpans(&jsonBuf)
@@ -323,32 +177,16 @@ func TestWriteTreeAndReadSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"trace " + root.TraceID().String(), "campaignd/cell", "  worker/attempt", "· retry"} {
+	for _, want := range []string{"trace " + root.TraceID().String(), "harness/cell", "  harness/attempt", "· retry"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tree missing %q:\n%s", want, out)
 		}
 	}
 	// Child must be indented deeper than its parent.
-	rootLine := strings.Index(out, "campaignd/cell")
-	childLine := strings.Index(out, "worker/attempt")
+	rootLine := strings.Index(out, "harness/cell")
+	childLine := strings.Index(out, "harness/attempt")
 	if childLine < rootLine {
 		t.Fatalf("child rendered before parent:\n%s", out)
-	}
-}
-
-func TestRenderHTML(t *testing.T) {
-	sums := []Summary{
-		{Trace: 0xa, Root: "campaignd/cell", Service: "campaignd", DurationNS: 5e6, Spans: 3},
-		{Trace: 0xb, Root: "campaignd/cell", Service: "campaignd", DurationNS: 1e6, Spans: 2, Error: "<boom>"},
-	}
-	out := string(RenderHTML(sums))
-	for _, want := range []string{"trace explorer", "000000000000000a", "/traces.json?trace=000000000000000b", "&lt;boom&gt;", "errored", "slowest", "recent"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("HTML missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "<boom>") {
-		t.Fatal("error string not HTML-escaped")
 	}
 }
 
@@ -371,7 +209,7 @@ func TestConcurrentSpanUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st.Len() != 8*51 {
-		t.Fatalf("stored %d spans, want %d", st.Len(), 8*51)
+	if n := len(st.Spans()); n != 8*51 {
+		t.Fatalf("stored %d spans, want %d", n, 8*51)
 	}
 }

@@ -6,22 +6,15 @@ import (
 )
 
 // Config parameterizes a Tracer. The zero value is usable: anonymous
-// service, no store (spans evaporate on End), wall-clock timestamps,
-// entropy-seeded IDs.
+// service, no store (spans evaporate on End), entropy-seeded IDs.
 type Config struct {
-	// Service names the process in cross-process exports (e.g.
-	// "campaignd", "worker-w2", "figures").
+	// Service names the process in rendered trees (e.g. "figures").
 	Service string
-	// Store receives finished spans; nil discards them (the spans still
-	// carry valid contexts, so propagation works without local storage).
+	// Store receives finished spans; nil discards them.
 	Store *Store
 	// Seed fixes the ID stream for deterministic tests. 0 derives a
-	// seed from the service name and the clock, so concurrent processes
-	// of a campaign do not collide.
+	// seed from the service name and the clock.
 	Seed uint64
-	// Now returns nanosecond timestamps; nil means wall-clock time.
-	// Tests inject fakes so span durations are deterministic.
-	Now func() int64
 }
 
 // Tracer mints spans for one service. A nil *Tracer is a valid, free
@@ -30,16 +23,14 @@ type Config struct {
 type Tracer struct {
 	service string
 	store   *Store
-	now     func() int64
+	now     func() int64 // nanosecond clock; tests swap in a fake
 	state   atomic.Uint64
 }
 
 // New builds a tracer from cfg.
 func New(cfg Config) *Tracer {
-	t := &Tracer{service: cfg.Service, store: cfg.Store, now: cfg.Now}
-	if t.now == nil {
-		t.now = func() int64 { return time.Now().UnixNano() } //simlint:wallclock span timestamps are genuine wall time
-	}
+	t := &Tracer{service: cfg.Service, store: cfg.Store,
+		now: func() int64 { return time.Now().UnixNano() }} //simlint:wallclock span timestamps are genuine wall time
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano()) //simlint:wallclock trace-ID entropy, never in results
@@ -51,50 +42,21 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Service returns the tracer's service name ("" on nil).
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
-// Store returns the tracer's span store (nil on nil).
-func (t *Tracer) Store() *Store {
-	if t == nil {
-		return nil
-	}
-	return t.store
-}
-
 // StartRoot starts a new trace with a root span named name.
 func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.start(name, Context{Trace: TraceID(t.nextID())})
+	return t.start(name, TraceID(t.nextID()), 0)
 }
 
-// StartSpan starts a span under parent (a local span's Context or a
-// remote context parsed off an RPC header). An invalid parent starts a
-// fresh trace, so call sites never need to branch on propagation.
-func (t *Tracer) StartSpan(name string, parent Context) *Span {
-	if t == nil {
-		return nil
-	}
-	if !parent.Valid() {
-		return t.StartRoot(name)
-	}
-	return t.start(name, parent)
-}
-
-func (t *Tracer) start(name string, parent Context) *Span {
+func (t *Tracer) start(name string, trace TraceID, parent SpanID) *Span {
 	return &Span{
 		tr: t,
 		data: SpanData{
-			Trace:   parent.Trace,
+			Trace:   trace,
 			ID:      SpanID(t.nextID()),
-			Parent:  parent.Span,
+			Parent:  parent,
 			Name:    name,
 			Service: t.service,
 			StartNS: t.nowNS(),
@@ -132,5 +94,5 @@ func (t *Tracer) record(d SpanData) {
 	if t == nil {
 		return
 	}
-	t.store.Add(d)
+	t.store.add(d)
 }

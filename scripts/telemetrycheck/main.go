@@ -1,14 +1,12 @@
 // Command telemetrycheck validates the telemetry artefacts the smoke
 // suite produces: a Prometheus text exposition (from the harness debug
-// endpoint), a campaign metrics JSON rollup (cmd/figures -metrics), a
-// Chrome trace-event file (cmd/trace -chrome), and a distributed-trace
-// span export in Chrome dialect (the coordinator's /traces.chrome.json,
-// which adds "M" process-name metadata for cross-process lanes). It is
-// a CI gate: any malformed artefact exits non-zero with a reason.
+// endpoint), a campaign metrics JSON rollup (cmd/figures -metrics),
+// and a Chrome trace-event file (cmd/trace -chrome). It is a CI gate:
+// any malformed artefact exits non-zero with a reason.
 //
 // Usage:
 //
-//	telemetrycheck [-prom FILE] [-json FILE] [-chrome FILE] [-spans FILE]
+//	telemetrycheck [-prom FILE] [-json FILE] [-chrome FILE]
 package main
 
 import (
@@ -27,11 +25,10 @@ func main() {
 	prom := flag.String("prom", "", "Prometheus text exposition file to validate")
 	jsonPath := flag.String("json", "", "telemetry snapshot JSON file to validate")
 	chrome := flag.String("chrome", "", "Chrome trace-event JSON file to validate")
-	spans := flag.String("spans", "", "distributed-trace span export (Chrome dialect with M lanes) to validate")
 	flag.Parse()
 
-	if *prom == "" && *jsonPath == "" && *chrome == "" && *spans == "" {
-		fmt.Fprintln(os.Stderr, "telemetrycheck: nothing to check (pass -prom, -json, -chrome, or -spans)")
+	if *prom == "" && *jsonPath == "" && *chrome == "" {
+		fmt.Fprintln(os.Stderr, "telemetrycheck: nothing to check (pass -prom, -json, or -chrome)")
 		os.Exit(2)
 	}
 	fail := false
@@ -51,9 +48,6 @@ func main() {
 	}
 	if *chrome != "" {
 		check("chrome", *chrome, checkChrome(*chrome))
-	}
-	if *spans != "" {
-		check("spans", *spans, checkSpanChrome(*spans))
 	}
 	if fail {
 		os.Exit(1)
@@ -293,97 +287,6 @@ func checkChrome(path string) error {
 	}
 	if slices == 0 {
 		return fmt.Errorf("no instruction slices in trace")
-	}
-	return nil
-}
-
-// spanChromeEvent mirrors the span exporter's dialect (teletrace
-// WriteChrome): a bare JSON array with "M" process-name metadata for
-// each service lane group, "X" slices for spans, and "i" markers for
-// span events.
-type spanChromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s"`
-	Args  map[string]any `json:"args"`
-}
-
-// checkSpanChrome validates a distributed-trace Chrome export: every
-// service lane group is named by an "M" metadata event on tid 0, every
-// "X" span slice sits on a lane >= 1 with a trace_id arg, and every
-// "i" event marker is thread-scoped with a trace_id.
-func checkSpanChrome(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var events []spanChromeEvent
-	if err := json.Unmarshal(data, &events); err != nil {
-		return fmt.Errorf("not a trace-event array: %w", err)
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("no events")
-	}
-	named := map[int]bool{} // pids with a process_name metadata event
-	var spans int
-	for i, ev := range events {
-		switch ev.Phase {
-		case "M":
-			if ev.Name != "process_name" {
-				return fmt.Errorf("event %d: metadata %q, want process_name", i, ev.Name)
-			}
-			if ev.TID != 0 {
-				return fmt.Errorf("event %d: process_name on tid %d, want 0", i, ev.TID)
-			}
-			if _, ok := ev.Args["name"]; !ok {
-				return fmt.Errorf("event %d: process_name without args.name", i)
-			}
-			named[ev.PID] = true
-		case "X":
-			spans++
-			if ev.TID < 1 {
-				return fmt.Errorf("event %d (%q): span on lane %d (lane 0 is metadata)", i, ev.Name, ev.TID)
-			}
-			if ev.Dur < 0 {
-				return fmt.Errorf("event %d (%q): negative dur %v", i, ev.Name, ev.Dur)
-			}
-			if err := spanTraceID(ev); err != nil {
-				return fmt.Errorf("event %d (%q): %v", i, ev.Name, err)
-			}
-			if !named[ev.PID] {
-				return fmt.Errorf("event %d (%q): span on unnamed pid %d", i, ev.Name, ev.PID)
-			}
-		case "i":
-			if ev.Scope != "t" {
-				return fmt.Errorf("event %d (%q): instant scope %q, want t", i, ev.Name, ev.Scope)
-			}
-			if err := spanTraceID(ev); err != nil {
-				return fmt.Errorf("event %d (%q): %v", i, ev.Name, err)
-			}
-		default:
-			return fmt.Errorf("event %d (%q): unexpected phase %q", i, ev.Name, ev.Phase)
-		}
-	}
-	if spans == 0 {
-		return fmt.Errorf("no span slices")
-	}
-	return nil
-}
-
-// spanTraceID requires a well-formed trace_id arg on a span export
-// event — the link every lane shares back to the /traces explorer.
-func spanTraceID(ev spanChromeEvent) error {
-	raw, ok := ev.Args["trace_id"]
-	if !ok {
-		return fmt.Errorf("no trace_id arg")
-	}
-	s, ok := raw.(string)
-	if !ok || len(s) != 16 || strings.Trim(s, "0123456789abcdef") != "" {
-		return fmt.Errorf("trace_id %v is not 16 hex digits", raw)
 	}
 	return nil
 }
