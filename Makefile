@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test lint lint-smoke bench bench-snapshot bench-check figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke trace-smoke no-test-binaries regen-results clean
+.PHONY: all test lint lint-smoke bench figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke trace-smoke no-test-binaries regen-results clean
 
 all: test
 
@@ -27,17 +27,6 @@ test-output:
 
 bench:
 	go test -bench=. -benchmem -count=1 ./... 2>&1 | tee bench_output.txt
-
-# Benchmark-regression harness (docs/PERFORMANCE.md): snapshot the full
-# suite at a fixed -benchtime into a BENCH_*.json, and compare a fresh
-# snapshot against the committed baseline — failing on >10% regression
-# of sim-throughput metrics (sim-cycles/s, samples/s, raw-speed ops/s).
-bench-snapshot:
-	./scripts/bench_snapshot.sh
-
-bench-check:
-	./scripts/bench_snapshot.sh /tmp/bench-check.json
-	./scripts/bench_diff BENCH_10.json /tmp/bench-check.json
 
 figures:
 	go run ./cmd/figures -out results
@@ -78,8 +67,8 @@ absint-smoke:
 # Batched parallel trial engine check (docs/ENGINE.md): determinism
 # suite and harness under -race, CSV/stdout bit-identity of figures and
 # fuzz sweeps across -jobs widths, and the sim-cycles/s throughput gate
-# computed from benchjson JSON (min(10, 0.5 * cores) over the
-# sequential raw-speed bench).
+# (BenchmarkEngineBatch at min(10, 0.5 * cores) times the sequential
+# BenchmarkSimulatorRawSpeed, both in internal/engine).
 engine-smoke:
 	./scripts/engine_smoke.sh
 
@@ -120,4 +109,4 @@ regen-results:
 # Scratch outputs only: results/*.csv are version-controlled goldens
 # regenerated via `make regen-results`, never deleted here.
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_5.txt BENCH_6.txt BENCH_8.txt BENCH_10.txt
+	rm -f test_output.txt bench_output.txt

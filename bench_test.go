@@ -12,7 +12,6 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/engine"
 	"repro/internal/evict"
 	"repro/internal/experiments"
 	"repro/internal/mem"
@@ -265,186 +264,4 @@ func BenchmarkAblationFenceRemoval(b *testing.B) {
 	}
 	s := stats.Summarize(lats)
 	b.ReportMetric(s.Std, "fenced-std-cycles")
-}
-
-// BenchmarkSimulatorRawSpeed is an engineering bench: attack rounds
-// simulated per second on one core. It reports sim-cycles/op so the
-// derived sim-cycles/s throughput is comparable against the batched
-// engine benches below, whose op covers a whole batch of trials.
-func BenchmarkSimulatorRawSpeed(b *testing.B) {
-	a := unxpec.MustNew(unxpec.Options{Seed: 1})
-	start := a.Core().Cycle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MeasureOnce(i % 2)
-	}
-	b.ReportMetric(float64(a.Core().Cycle()-start)/float64(b.N), "sim-cycles/op")
-}
-
-// engineBatchTrials is the batch width of the engine benches: enough
-// trials per op to keep every worker busy on a many-core box.
-const engineBatchTrials = 64
-
-// benchmarkEngineBatch measures batched trial throughput at a fixed
-// worker count (0 = all cores). One op is a whole batch of trials,
-// each a warm restore plus trialRounds measurement rounds (the
-// BenchmarkForkTrial shape); the sim-cycles/op metric aggregates the
-// simulated cycles of every trial in it, so SimCyclesPerS in the JSON
-// snapshot is the engine's whole-machine throughput — the number the
-// ≥10x gate compares against BenchmarkSimulatorRawSpeed
-// (scripts/engine_smoke.sh).
-func benchmarkEngineBatch(b *testing.B, workers int) {
-	pool := engine.New(engine.Config{Workers: workers})
-	sess := engine.NewSession(pool, unxpec.Options{Seed: 1},
-		engine.SessionConfig{Rounds: trialRounds})
-	defer sess.Close()
-	secrets := make([]int, engineBatchTrials)
-	for i := range secrets {
-		secrets[i] = i & 1
-	}
-	out := make([]engine.TrialResult, len(secrets))
-	// Two untimed batches fork and warm (nearly always) every worker's
-	// replica, so the timed loop measures steady-state batches.
-	for w := 0; w < 2; w++ {
-		if err := sess.MeasureBatch(secrets, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sim uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.MeasureBatch(secrets, out); err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range out {
-			sim += r.SimCycles
-		}
-	}
-	b.ReportMetric(float64(sim)/float64(b.N), "sim-cycles/op")
-	b.ReportMetric(engineBatchTrials, "trials/op")
-}
-
-// BenchmarkEngineBatch saturates every core (the headline number).
-func BenchmarkEngineBatch(b *testing.B) { benchmarkEngineBatch(b, 0) }
-
-// BenchmarkEngineBatch1 pins one worker: the sequential reference the
-// parallel speedup is computed from, and the per-trial overhead of the
-// restore-measure loop relative to BenchmarkSimulatorRawSpeed.
-func BenchmarkEngineBatch1(b *testing.B) { benchmarkEngineBatch(b, 1) }
-
-// trialRounds is the fixed measurement batch of the fork-vs-fresh
-// setup-cost pair below; both benches run it so the only difference is
-// how each trial obtains its warm machine.
-const trialRounds = 8
-
-// BenchmarkFreshTrial is the pre-snapshot trial shape: every trial
-// rebuilds the attack from scratch — machine construction,
-// eviction-set search, training — before its measurement batch.
-func BenchmarkFreshTrial(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a := unxpec.MustNew(unxpec.Options{Seed: 1, UseEvictionSets: true})
-		for r := 0; r < trialRounds; r++ {
-			a.MeasureOnce(r & 1)
-		}
-	}
-}
-
-// BenchmarkForkTrial runs the identical trial forked from one warm
-// checkpointed state (docs/SNAPSHOTS.md): setup collapses to an
-// O(dirty pages) copy-on-write restore. Compare against
-// BenchmarkFreshTrial in the same snapshot for the setup-cost ratio.
-func BenchmarkForkTrial(b *testing.B) {
-	a := unxpec.MustNew(unxpec.Options{Seed: 1, UseEvictionSets: true})
-	for r := 0; r < trialRounds; r++ {
-		a.MeasureOnce(r & 1) // reach the warm steady state once
-	}
-	cp, err := a.Checkpoint()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cp.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.Restore(cp); err != nil {
-			b.Fatal(err)
-		}
-		for r := 0; r < trialRounds; r++ {
-			a.MeasureOnce(r & 1)
-		}
-	}
-}
-
-// BenchmarkFreshSetup isolates what a fresh trial pays before its
-// first measurement: machine construction, eviction-set search,
-// program generation.
-func BenchmarkFreshSetup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		unxpec.MustNew(unxpec.Options{Seed: 1, UseEvictionSets: true})
-	}
-}
-
-// BenchmarkForkSetup isolates what a forked trial pays instead: one
-// whole-machine restore. Restore cost scales with how much the run
-// diverged — dirty COW pages and dirty-stamped cache sets are copied
-// back, clean ones are skipped — so the machine is dirtied with a full
-// trial's rounds after the checkpoint. Because a restore re-stamps the
-// sets it copies, every iteration of the tight loop then pays for that
-// same diverged working set: the steady state of a fork-trial loop,
-// without StopTimer/StartTimer churn inside the loop. The
-// FreshSetup/ForkSetup ratio is the setup-cost reduction the snapshot
-// subsystem exists for.
-func BenchmarkForkSetup(b *testing.B) {
-	a := unxpec.MustNew(unxpec.Options{Seed: 1, UseEvictionSets: true})
-	for r := 0; r < trialRounds; r++ {
-		a.MeasureOnce(r & 1)
-	}
-	cp, err := a.Checkpoint()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cp.Release()
-	for r := 0; r < trialRounds; r++ {
-		a.MeasureOnce(r & 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.Restore(cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkECCChannel measures the Hamming-protected covert channel:
-// effective data bits per second after the 7/4 code-rate cost.
-func BenchmarkECCChannel(b *testing.B) {
-	a := unxpec.MustNew(unxpec.Options{Seed: 1, UseEvictionSets: true, Noise: noise.NewSystem(9)})
-	cal := a.Calibrate(100)
-	bits := unxpec.RandomSecret(56, 3)
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, acc, _ = a.LeakSecretECC(bits, cal.Threshold, 1)
-	}
-	b.ReportMetric(100*acc, "ecc-accuracy-%")
-}
-
-// BenchmarkKDE measures the receiver-side density estimation.
-func BenchmarkKDE(b *testing.B) {
-	sample := make([]float64, 1000)
-	for i := range sample {
-		sample[i] = float64(130 + i%50)
-	}
-	k, err := stats.NewKDE(sample, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Density(170)
-	}
 }

@@ -151,22 +151,5 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // ResetStats zeroes counters without forgetting training.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
-// Reset forgets all training and statistics, returning the predictor to
-// its freshly-constructed state: every 2-bit counter back to the
-// configured initial bias, BTB empty.
-func (p *Predictor) Reset() {
-	init := counter(1)
-	if p.cfg.InitialTaken {
-		init = 2
-	}
-	for i := range p.table {
-		p.table[i] = init
-	}
-	for k := range p.btb {
-		delete(p.btb, k)
-	}
-	p.stats = Stats{}
-}
-
 // Counter exposes the raw 2-bit state for a pc (tests).
 func (p *Predictor) Counter(pc int) uint8 { return uint8(p.table[p.index(pc)]) }

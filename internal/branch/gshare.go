@@ -83,22 +83,5 @@ func (g *Gshare) Stats() Stats { return g.stats }
 // ResetStats zeroes counters, keeping training and history.
 func (g *Gshare) ResetStats() { g.stats = Stats{} }
 
-// Reset forgets all training, history and statistics, returning the
-// predictor to its freshly-constructed state.
-func (g *Gshare) Reset() {
-	init := counter(1)
-	if g.cfg.InitialTaken {
-		init = 2
-	}
-	for i := range g.table {
-		g.table[i] = init
-	}
-	for k := range g.btb {
-		delete(g.btb, k)
-	}
-	g.history = 0
-	g.stats = Stats{}
-}
-
 // History exposes the global history register (tests).
 func (g *Gshare) History() uint64 { return g.history }

@@ -211,24 +211,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters (state is untouched).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Reset returns the cache to its just-constructed state: every line
-// invalid, counters zeroed, and the replacement policy's metadata (and
-// seeded RNG stream, for random replacement) restarted. Existing
-// backing arrays are reused, so trial loops can recycle a cache without
-// reallocating it.
-func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Line{}
-		}
-		c.touch(s)
-	}
-	c.stats = Stats{}
-	if r, ok := c.policy.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}
-
 // setIndex maps a line address through the configured index mapper.
 func (c *Cache) setIndex(line mem.Addr) uint64 {
 	return c.mapper.MapIndex(line, c.cfg.Sets)

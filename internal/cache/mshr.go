@@ -151,9 +151,3 @@ func (m *MSHRFile) Allocs() uint64 { return m.allocs }
 
 // Peak returns the high-water occupancy.
 func (m *MSHRFile) Peak() int { return m.peak }
-
-// Reset clears all entries and statistics.
-func (m *MSHRFile) Reset() {
-	m.entries = m.entries[:0]
-	m.allocs, m.stallEvents, m.peak = 0, 0, 0
-}

@@ -69,18 +69,21 @@ func TestMSHRSpeculativeEntriesCopies(t *testing.T) {
 	}
 }
 
+// TestMSHRPeakAndReset checks the high-water mark and that restoring a
+// snapshot of the empty file rewinds entries and statistics alike.
 func TestMSHRPeakAndReset(t *testing.T) {
 	m := NewMSHRFile(4)
+	empty := m.Snapshot()
 	for i := 0; i < 3; i++ {
 		m.Allocate(MSHREntry{LineAddr: mem.Addr(i * 64), FillCycle: 5})
 	}
 	if m.Peak() != 3 || m.Allocs() != 3 {
 		t.Fatalf("peak=%d allocs=%d", m.Peak(), m.Allocs())
 	}
-	m.Complete(5)
-	m.Reset()
+	m.Restore(empty)
 	if m.Occupancy() != 0 || m.Peak() != 0 || m.Allocs() != 0 {
-		t.Fatal("reset incomplete")
+		t.Fatalf("restore to empty left occupancy=%d peak=%d allocs=%d",
+			m.Occupancy(), m.Peak(), m.Allocs())
 	}
 }
 

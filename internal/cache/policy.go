@@ -58,14 +58,6 @@ func (p *lruPolicy) mark(set int) {
 	p.stamp[set] = p.version
 }
 
-// Reset clears all recency metadata (Cache.Reset calls this).
-func (p *lruPolicy) Reset() {
-	for s := range p.order {
-		p.order[s] = p.order[s][:0]
-		p.mark(s)
-	}
-}
-
 // lruState is a frozen copy of every recency stack.
 type lruState struct {
 	order [][]int
@@ -150,23 +142,18 @@ func (p *lruPolicy) Victim(set int, candidates []int) int {
 // detrand.CountingSource so the victim stream's exact position can be
 // snapshotted as one integer and restored by reseed-and-replay.
 type randomPolicy struct {
-	seed int64
-	src  *detrand.CountingSource
-	rng  *rand.Rand
+	src *detrand.CountingSource
+	rng *rand.Rand
 }
 
 // NewRandom returns a random-replacement policy seeded deterministically
 // so simulations are reproducible.
 func NewRandom(seed int64) ReplacementPolicy {
 	src := detrand.NewCountingSource(seed)
-	return &randomPolicy{seed: seed, src: src, rng: rand.New(src)}
+	return &randomPolicy{src: src, rng: rand.New(src)}
 }
 
 func (p *randomPolicy) Name() string { return "random" }
-
-// Reset restarts the victim stream from the original seed, so a reset
-// cache replays exactly the replacement decisions of a fresh one.
-func (p *randomPolicy) Reset() { p.src.Seed(p.seed) }
 
 // SaveState captures the victim stream position.
 func (p *randomPolicy) SaveState() any { return p.src.Draws() }
@@ -199,15 +186,6 @@ func NewTreePLRU(sets, ways int) ReplacementPolicy {
 }
 
 func (p *treePLRUPolicy) Name() string { return "tree-plru" }
-
-// Reset clears the tree bits (Cache.Reset calls this).
-func (p *treePLRUPolicy) Reset() {
-	for s := range p.bits {
-		for i := range p.bits[s] {
-			p.bits[s][i] = false
-		}
-	}
-}
 
 // SaveState captures every set's tree bits.
 func (p *treePLRUPolicy) SaveState() any {

@@ -35,7 +35,7 @@ const (
 //
 // An Arena holds no simulation semantics of its own and allocates only
 // on construction and growth, so a batch worker can own one Arena and
-// run every trial of every session through it with zero steady-state
+// run every trial of every batch through it with zero steady-state
 // allocation (see internal/engine and docs/ENGINE.md).
 type Arena struct {
 	seq           []uint64
@@ -63,7 +63,7 @@ func NewArena(robSize int) *Arena {
 }
 
 // Ensure grows the arena to back a ROB of at least robSize entries,
-// preserving existing contents. Growth happens only between sessions
+// preserving existing contents. Growth happens only between runs
 // (the ROB is architecturally bounded during a run), so the copy is
 // cold-path.
 func (a *Arena) Ensure(robSize int) {

@@ -194,7 +194,7 @@ func New(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, scheme undo.
 
 // NewWithArena builds a core backed by a caller-owned arena (nil
 // allocates a private one). Sharing an arena is how a batch worker runs
-// many sessions with zero steady-state allocation; the caller must
+// many machines with zero steady-state allocation; the caller must
 // ensure only one core uses the arena at a time.
 func NewWithArena(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, scheme undo.Scheme, nz noise.Model, ar *Arena) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
@@ -501,36 +501,6 @@ func (c *CPU) Snapshot() Stats {
 	out.Undo = c.scheme.Stats()
 	out.Hier = c.hier.Stats()
 	return out
-}
-
-// Reset returns the core to its just-constructed state: architectural
-// registers cleared, cycle zero, statistics and run bookkeeping zeroed,
-// the ROB window emptied. The bound hierarchy, predictor, scheme and
-// noise model are NOT reset — a caller owning the whole machine (e.g.
-// unxpec.Attack.Reset) resets each part. The arena is kept, so
-// resetting allocates nothing.
-func (c *CPU) Reset() {
-	c.robHead = 0
-	c.robLen = 0
-	c.regs = [isa.NumRegs]uint64{}
-	c.prog = nil
-	c.nextSeq = 0
-	c.cycle = 0
-	c.fetchPC = 0
-	c.fetchStopped = false
-	c.fetchReady = 0
-	c.stallUntil = 0
-	c.retireBlocked = 0
-	c.halted = false
-	c.trapPending = false
-	c.trapHaltAt = 0
-	c.stats = Stats{}
-	c.runStartCycle = 0
-	c.runStartRetired = 0
-	c.progressed = false
-	if c.flight != nil {
-		c.flight.Reset()
-	}
 }
 
 // stepNoise injects system-interference stalls.

@@ -220,27 +220,30 @@ func TestBeginProgramAfterSkippedTimeout(t *testing.T) {
 	}
 }
 
-// TestResetRestoresFreshRun checks CPU.Reset: a dirtied core, reset,
-// must replay a fresh core's run exactly (hierarchy is reset alongside,
-// as Attack.Reset does).
+// TestResetRestoresFreshRun checks rewinding a core to its
+// just-constructed state: a dirtied core, restored from the states its
+// parts saved at construction (core, hierarchy, backing memory,
+// predictor — the parts a machine snapshot covers), must replay a
+// fresh core's run exactly.
 func TestResetRestoresFreshRun(t *testing.T) {
 	h := memsys.MustNew(memsys.DefaultConfig(11), mem.NewMemory())
-	c := MustNew(DefaultConfig(), h, branch.New(branch.DefaultConfig()), undo.NewCleanupSpec(), noise.None{})
+	pred := branch.New(branch.DefaultConfig())
+	c := MustNew(DefaultConfig(), h, pred, undo.NewCleanupSpec(), noise.None{})
 	prog := ffWorkloads()["mispredict-rollback"]
+	coreSt, hierSt, predSt := c.SaveState(), h.SaveState(), pred.SaveState()
+	memSt := h.Memory().Fork()
 
 	first := c.Run(prog)
 	c.Run(prog) // dirty it further
-	c.Reset()
-	h.Reset()
-	h.Memory().Reset()
-	if pr, ok := c.Predictor().(interface{ Reset() }); ok {
-		pr.Reset()
-	}
+	c.RestoreState(coreSt)
+	h.RestoreState(hierSt)
+	h.Memory().Restore(memSt)
+	pred.RestoreState(predSt)
 	if c.Cycle() != 0 {
-		t.Fatalf("cycle after Reset = %d", c.Cycle())
+		t.Fatalf("cycle after restore = %d", c.Cycle())
 	}
 	again := c.Run(prog)
 	if first.Cycles != again.Cycles || first.Retired != again.Retired || first.Squashes != again.Squashes {
-		t.Fatalf("reset run %+v != fresh run %+v", again, first)
+		t.Fatalf("restored run %+v != fresh run %+v", again, first)
 	}
 }

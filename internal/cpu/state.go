@@ -8,9 +8,9 @@ import (
 )
 
 // This file implements core state capture for the machine-level
-// Snapshot/Fork primitive (docs/SNAPSHOTS.md). A State freezes exactly
-// the fields Reset clears — the run state — plus the architectural
-// registers; configuration, wiring (hierarchy, predictor, scheme,
+// Snapshot/Fork primitive (docs/SNAPSHOTS.md). A State freezes the run
+// state — ROB, cycle, fetch/stall/retire bookkeeping, statistics — plus
+// the architectural registers; configuration, wiring (hierarchy, predictor, scheme,
 // noise) and observers (tracer, flight recorder, telemetry) are shared
 // by reference and deliberately not captured. Note the pre-existing
 // Snapshot() method returns cumulative Stats and is unrelated.

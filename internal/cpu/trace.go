@@ -152,13 +152,6 @@ func (f *FlightRecorder) Events() []TraceEvent {
 // Dropped returns how many events were overwritten.
 func (f *FlightRecorder) Dropped() uint64 { return f.dropped }
 
-// Reset clears the ring.
-func (f *FlightRecorder) Reset() {
-	f.head = 0
-	f.wrapped = false
-	f.dropped = 0
-}
-
 // EnableFlightRecorder attaches an always-on bounded event ring to the
 // core (n <= 0 selects DefaultFlightEvents). Idempotent: an existing
 // recorder is kept, so re-observing a core in a multi-phase trial does

@@ -10,7 +10,7 @@
 //     arena) that claims trial indices from a shared atomic counter.
 //     Which worker executes which trial is schedule-dependent; the
 //     *result* of a trial never is, because every trial is a pure
-//     function of its index (Session trials fork from a calibrated
+//     function of its index (fork trials restore a calibrated
 //     checkpoint; harness cells build their machine from the cell
 //     seed).
 //
@@ -19,15 +19,16 @@
 //     arena.go) — that every machine the worker runs adopts. The arena
 //     is pure scratch between trials (all persistent state lives in
 //     checkpoints and machine snapshots), so sharing it across
-//     sessions is safe as long as one worker runs one trial at a time,
+//     batches is safe as long as one worker runs one trial at a time,
 //     which the pool guarantees. Steady-state batches allocate
 //     nothing.
 //
-//   - Per-worker telemetry absorbed at batch end. Trials write
-//     counters and histograms to their worker's private registry with
-//     no cross-worker synchronization; Drain folds the registries into
+//   - Per-worker telemetry absorbed by Drain. Trials write counters
+//     and histograms to their worker's private registry with no
+//     cross-worker synchronization; Drain folds the registries into
 //     the campaign rollup in worker-ID order using snapshot diffs, so
-//     repeated drains never double-count.
+//     repeated drains — a live scrape mid-batch, then the batch-end
+//     drain — never double-count.
 package engine
 
 import (
@@ -66,8 +67,8 @@ type Worker struct {
 	drained telemetry.Snapshot
 }
 
-// Arena returns the worker's struct-of-arrays ROB arena. Sessions hand
-// it to every machine the worker builds (cpu.CPU.AdoptArena) so all
+// Arena returns the worker's struct-of-arrays ROB arena. Jobs hand it
+// to every machine the worker builds (cpu.CPU.AdoptArena) so all
 // trials on this worker share one hot-state footprint.
 func (w *Worker) Arena() *cpu.Arena { return w.arena }
 
@@ -77,6 +78,9 @@ func (w *Worker) Arena() *cpu.Arena { return w.arena }
 // allocation-free in the steady state.
 type Pool struct {
 	workers []*Worker
+	// drainMu serializes Drain, which may run from a live scrape while
+	// a batch is in flight: it guards every worker's drained watermark.
+	drainMu sync.Mutex
 }
 
 // New builds a pool.
@@ -99,19 +103,6 @@ func New(cfg Config) *Pool {
 // Size returns the number of workers.
 func (p *Pool) Size() int { return len(p.workers) }
 
-// runner is the internal job shape. Pool.Run wraps plain funcs in it;
-// Session implements it directly so the zero-allocation batch path
-// never materialises a closure (func values and pointers are both
-// pointer-shaped, so neither conversion to this interface allocates).
-type runner interface {
-	runTrial(w *Worker, i int)
-}
-
-// funcJob adapts a plain func to the runner interface.
-type funcJob func(w *Worker, i int)
-
-func (f funcJob) runTrial(w *Worker, i int) { f(w, i) }
-
 // Run executes jobs 0..n-1 across the pool and returns when all have
 // finished. Jobs are claimed from an atomic cursor, so a slow trial
 // never stalls the rest of the batch behind a static partition. job
@@ -123,10 +114,6 @@ func (f funcJob) runTrial(w *Worker, i int) { f(w, i) }
 // sequential loop on the calling goroutine — the reference execution
 // the parallel path is tested against, with no scheduling overhead.
 func (p *Pool) Run(n int, job func(w *Worker, i int)) {
-	p.runJobs(n, funcJob(job))
-}
-
-func (p *Pool) runJobs(n int, job runner) {
 	if n <= 0 {
 		return
 	}
@@ -137,7 +124,7 @@ func (p *Pool) runJobs(n int, job runner) {
 	if nw == 1 {
 		w := p.workers[0]
 		for i := 0; i < n; i++ {
-			job.runTrial(w, i)
+			job(w, i)
 		}
 		return
 	}
@@ -153,7 +140,7 @@ func (p *Pool) runJobs(n int, job runner) {
 				if i >= n {
 					return
 				}
-				job.runTrial(w, i)
+				job(w, i)
 			}
 		}()
 	}
@@ -167,7 +154,18 @@ func (p *Pool) runJobs(n int, job runner) {
 // the multiset of executed trials, not on scheduling); gauges keep
 // Absorb's last-non-zero-wins semantics. A nil dst drains nowhere but
 // still advances the watermarks.
+//
+// Drain is safe to call while a batch runs (the live /metrics endpoint
+// does, so a mid-sweep scrape sees the work done so far): worker
+// registries are read through their own locks and atomics, and the
+// watermarks advance under drainMu. Because a drain absorbs only the
+// mass since the previous one, any number of intermediate drains
+// leaves the same counters, histogram counts, gauges and exemplars as
+// a single drain at the end (a histogram's float sum can differ in its
+// last bits when its observations are not whole numbers).
 func (p *Pool) Drain(dst *telemetry.Registry) {
+	p.drainMu.Lock()
+	defer p.drainMu.Unlock()
 	for _, w := range p.workers {
 		cur := w.Metrics.Snapshot()
 		dst.Absorb(cur.Diff(w.drained))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -21,10 +22,6 @@ func workerCounts() []int {
 	return counts
 }
 
-func testOptions() unxpec.Options {
-	return unxpec.Options{Seed: 1}
-}
-
 // secretsFor builds a deterministic secret schedule of length n.
 func secretsFor(n int) []int {
 	s := make([]int, n)
@@ -34,20 +31,104 @@ func secretsFor(n int) []int {
 	return s
 }
 
-// runBatch executes one session over a fresh pool and returns the
-// per-trial results plus the drained telemetry rollup.
-func runBatch(t *testing.T, workers, n int) ([]TrialResult, telemetry.Snapshot) {
+// warmupRounds is how many measurement rounds a replica runs before
+// its checkpoint: enough for initial training plus the first prime, so
+// forked trials start from the attack's warm steady state.
+const warmupRounds = 8
+
+// result is the outcome of one fork trial.
+type result struct {
+	latency   uint64 // the final round's receiver timing
+	simCycles uint64 // cycles simulated across every round of the trial
+	err       error
+}
+
+// replica is one worker's copy of the calibrated machine.
+type replica struct {
+	attack *unxpec.Attack
+	cp     *unxpec.Checkpoint
+}
+
+// forkRig runs batches of unXpec fork trials over a pool, the shape
+// every fork-trial caller of the engine has (bench/unxbench's
+// fork-trials workload follows the same recipe): each worker owns a
+// replica — unxpec.New, AdoptArena on the worker's arena, warmupRounds
+// rounds, Checkpoint — and trial i restores its worker's checkpoint
+// and runs rounds rounds against secrets[i]. Replicas built from
+// identical options are bit-identical, so trial i's result is a pure
+// function of secrets[i].
+type forkRig struct {
+	pool   *Pool
+	rounds int
+	reps   []replica // indexed by worker ID; touched only by that worker
+
+	// The batch in flight. job is bound once, so a warm batch
+	// allocates nothing, not even a closure.
+	secrets []int
+	out     []result
+	job     func(w *Worker, i int)
+}
+
+func newForkRig(tb testing.TB, workers, rounds int) *forkRig {
+	r := &forkRig{pool: New(Config{Workers: workers}), rounds: rounds}
+	for _, w := range r.pool.workers {
+		a := unxpec.MustNew(unxpec.Options{Seed: 1})
+		a.Core().AdoptArena(w.Arena())
+		// Warm-up runs with telemetry detached: it is per-replica
+		// plumbing, not trial signal.
+		for k := 0; k < warmupRounds; k++ {
+			if _, err := a.MeasureOnceChecked(k & 1); err != nil {
+				tb.Fatalf("worker %d warm-up round %d: %v", w.ID, k, err)
+			}
+		}
+		cp, err := a.Checkpoint()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(cp.Release)
+		a.SetMetrics(w.Metrics)
+		r.reps = append(r.reps, replica{attack: a, cp: cp})
+	}
+	r.job = r.trial
+	return r
+}
+
+func (r *forkRig) trial(w *Worker, i int) {
+	rep := r.reps[w.ID]
+	res := result{err: rep.attack.Restore(rep.cp)}
+	start := rep.attack.Core().Cycle()
+	for k := 0; k < r.rounds && res.err == nil; k++ {
+		res.latency, res.err = rep.attack.MeasureOnceChecked(r.secrets[i])
+	}
+	res.simCycles = rep.attack.Core().Cycle() - start
+	r.out[i] = res
+}
+
+// batch runs one trial per secret into out and returns the
+// lowest-indexed trial error.
+func (r *forkRig) batch(secrets []int, out []result) error {
+	r.secrets, r.out = secrets, out
+	r.pool.Run(len(secrets), r.job)
+	r.secrets, r.out = nil, nil
+	for i := range secrets {
+		if out[i].err != nil {
+			return fmt.Errorf("trial %d: %w", i, out[i].err)
+		}
+	}
+	return nil
+}
+
+// runBatch executes n single-round trials over a fresh pool and returns
+// the per-trial results plus the drained telemetry rollup.
+func runBatch(t *testing.T, workers, n int) ([]result, telemetry.Snapshot) {
 	t.Helper()
-	pool := New(Config{Workers: workers})
-	sess := NewSession(pool, testOptions(), SessionConfig{})
-	defer sess.Close()
-	secrets := secretsFor(n)
-	out := make([]TrialResult, n)
-	if err := sess.MeasureBatch(secrets, out); err != nil {
-		t.Fatalf("MeasureBatch(workers=%d, n=%d): %v", workers, n, err)
+	rig := newForkRig(t, workers, 1)
+	out := make([]result, n)
+	if err := rig.batch(secretsFor(n), out); err != nil {
+		t.Fatalf("batch(workers=%d, n=%d): %v", workers, n, err)
 	}
 	rollup := telemetry.NewRegistry()
-	pool.Drain(rollup)
+	rig.pool.Drain(rollup)
 	return out, rollup.Snapshot()
 }
 
@@ -70,21 +151,18 @@ func TestBatchBitIdentity(t *testing.T) {
 }
 
 // TestBatchSplitIdentity checks that slicing one workload into several
-// MeasureBatch calls yields the same results as one big batch: the
-// checkpoint restore at the head of every trial makes batch boundaries
-// invisible.
+// Run calls yields the same results as one big batch: the checkpoint
+// restore at the head of every trial makes batch boundaries invisible.
 func TestBatchSplitIdentity(t *testing.T) {
 	const n = 12
 	ref, _ := runBatch(t, 2, n)
 
-	pool := New(Config{Workers: 2})
-	sess := NewSession(pool, testOptions(), SessionConfig{})
-	defer sess.Close()
+	rig := newForkRig(t, 2, 1)
 	secrets := secretsFor(n)
-	got := make([]TrialResult, n)
+	got := make([]result, n)
 	for _, split := range [][2]int{{0, 3}, {3, 7}, {7, n}} {
-		if err := sess.MeasureBatch(secrets[split[0]:split[1]], got[split[0]:split[1]]); err != nil {
-			t.Fatalf("MeasureBatch slice %v: %v", split, err)
+		if err := rig.batch(secrets[split[0]:split[1]], got[split[0]:split[1]]); err != nil {
+			t.Fatalf("batch slice %v: %v", split, err)
 		}
 	}
 	for i := range ref {
@@ -139,18 +217,16 @@ func TestRollupDeterminism(t *testing.T) {
 	}
 }
 
-// TestRoundsBitIdentity covers multi-round trials: with Rounds > 1
-// the per-trial restore still isolates trials, so results stay
-// bit-identical across worker counts.
+// TestRoundsBitIdentity covers multi-round trials: with several rounds
+// per trial the per-trial restore still isolates trials, so results
+// stay bit-identical across worker counts.
 func TestRoundsBitIdentity(t *testing.T) {
 	const n = 6
-	run := func(workers int) []TrialResult {
-		pool := New(Config{Workers: workers})
-		sess := NewSession(pool, testOptions(), SessionConfig{Rounds: 3})
-		defer sess.Close()
-		out := make([]TrialResult, n)
-		if err := sess.MeasureBatch(secretsFor(n), out); err != nil {
-			t.Fatalf("MeasureBatch(workers=%d): %v", workers, err)
+	run := func(workers int) []result {
+		rig := newForkRig(t, workers, 3)
+		out := make([]result, n)
+		if err := rig.batch(secretsFor(n), out); err != nil {
+			t.Fatalf("batch(workers=%d): %v", workers, err)
 		}
 		return out
 	}
@@ -165,27 +241,24 @@ func TestRoundsBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmBatchAllocs pins the zero-allocation steady state: once a
-// worker's replica exists, measuring batches allocates nothing. The
-// single-worker pool runs on the calling goroutine, so the whole
-// MeasureBatch call — restore, simulate, classify — must be
-// allocation-free.
+// TestWarmBatchAllocs pins the zero-allocation steady state: once the
+// restore path is warm, running batches allocates nothing. The
+// single-worker pool runs on the calling goroutine, so the whole Run
+// call — claim, restore, simulate — must be allocation-free.
 func TestWarmBatchAllocs(t *testing.T) {
-	pool := New(Config{Workers: 1})
-	sess := NewSession(pool, testOptions(), SessionConfig{})
-	defer sess.Close()
+	rig := newForkRig(t, 1, 1)
 	secrets := secretsFor(4)
-	out := make([]TrialResult, len(secrets))
-	if err := sess.MeasureBatch(secrets, out); err != nil { // fork + warm the replica
-		t.Fatalf("warmup batch: %v", err)
+	out := make([]result, len(secrets))
+	if err := rig.batch(secrets, out); err != nil { // warm the restore path
+		t.Fatalf("warm-up batch: %v", err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := sess.MeasureBatch(secrets, out); err != nil {
+		if err := rig.batch(secrets, out); err != nil {
 			t.Fatalf("warm batch: %v", err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm MeasureBatch allocates %v per run, want 0", allocs)
+		t.Errorf("warm batch allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -231,21 +304,5 @@ func TestDrainWatermark(t *testing.T) {
 	pool.Drain(dst)
 	if got := dst.Snapshot().Counters["trials_total"]; got != 9 {
 		t.Errorf("incremental drain: trials_total = %d, want 9", got)
-	}
-}
-
-// TestTrialStatusString pins the log rendering, including the
-// out-of-range fallback.
-func TestTrialStatusString(t *testing.T) {
-	cases := map[TrialStatus]string{
-		TrialOK:        "ok",
-		TrialWatchdog:  "watchdog",
-		TrialError:     "error",
-		TrialStatus(9): "TrialStatus(9)",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("TrialStatus(%d).String() = %q, want %q", uint8(s), got, want)
-		}
 	}
 }

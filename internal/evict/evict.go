@@ -67,16 +67,6 @@ func NewFinder(h *memsys.Hierarchy) *Finder {
 	return &Finder{h: h, Trials: 8, Passes: 1}
 }
 
-// Reset rewinds the finder to its just-constructed state: virtual
-// clock and experiment counters zeroed. Tunables (Trials, Passes) are
-// caller-owned configuration and survive. The hierarchy is not touched
-// — reset it separately when an experiment needs cold caches.
-func (f *Finder) Reset() {
-	f.now = 0
-	f.testCount = 0
-	f.accessCount = 0
-}
-
 // Tests returns how many eviction tests have been run.
 func (f *Finder) Tests() int { return f.testCount }
 

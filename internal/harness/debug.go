@@ -155,6 +155,10 @@ func (r *Runner) ServeDebug(addr string) (*DebugServer, error) {
 			http.Error(w, "campaign has no metrics registry", http.StatusNotFound)
 			return
 		}
+		// Trials record into per-worker engine registries; fold what the
+		// workers have done so far into the campaign registry first, or
+		// a mid-sweep scrape would see nothing until the sweep ends.
+		r.enginePool().Drain(reg)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		telemetry.WritePrometheus(w, reg.Snapshot())
 	})

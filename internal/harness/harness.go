@@ -561,7 +561,10 @@ func (r *Runner) Sweep(name string, cells []Cell) (*Report, error) {
 		r.noteExecuted()
 	})
 	// Per-worker telemetry was recorded synchronization-free during the
-	// sweep; fold it into the campaign registry exactly once.
+	// sweep; fold what no live /metrics scrape has drained yet into the
+	// campaign registry. Drain's watermarks absorb every trial's mass
+	// exactly once, so the rollup is the same whether or not anyone
+	// scraped mid-sweep.
 	pool.Drain(r.cfg.Metrics)
 
 	for _, o := range rep.Outcomes {
@@ -676,8 +679,9 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 // counters plus the trial-latency histogram (exemplar-linked to the
 // cell's trace, so the slowest bucket on /metrics names the trace to
 // open). The worker registry is private to the trial, so all of this
-// is synchronization-free; Sweep drains the workers into the campaign
-// registry once at the end of the batch. The snapshot reflects the
+// is synchronization-free; the worker registries reach the campaign
+// registry through Pool.Drain — at the end of each Sweep, and on every
+// live /metrics scrape in between. The snapshot reflects the
 // work the attempt actually did, even when the attempt failed —
 // partial work is exactly what a post-mortem wants.
 func (r *Runner) rollupTrial(w *engine.Worker, t *Trial, attempt int, ms float64, traceID string) *telemetry.Snapshot {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +220,101 @@ func TestDebugServerEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("registry-less /metrics = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestLiveScrapeMidSweep checks the live /metrics endpoint while a
+// sweep runs: trials record into per-worker engine registries, so a
+// scrape must drain them to see anything before the sweep ends. The
+// last cell holds its worker until a scrape has shown the trials'
+// metrics, which pins that scrape inside the sweep; the scraper keeps
+// polling until the sweep returns. The final rollup must equal an
+// unscraped sweep's — counters, gauges, histograms and exemplars —
+// because Drain absorbs every trial's mass exactly once however often
+// it runs. The harness's own trial-latency histogram is wall-clock, so
+// only its count is compared.
+func TestLiveScrapeMidSweep(t *testing.T) {
+	const n = 8
+	cells := func(gate <-chan struct{}) []Cell {
+		var out []Cell
+		for i := 0; i < n; i++ {
+			i := i
+			out = append(out, Cell{
+				ID:   fmt.Sprintf("c%d", i),
+				Seed: int64(i),
+				Run: func(tr *Trial) (any, error) {
+					if i == n-1 && gate != nil {
+						select {
+						case <-gate:
+						case <-time.After(10 * time.Second):
+							return nil, fmt.Errorf("no mid-sweep scrape showed the trials' metrics within 10s")
+						}
+					}
+					tr.Metrics.Counter("widgets_total", "widgets").Add(uint64(i + 1))
+					tr.Metrics.Gauge("widget_level", "level").Set(4)
+					tr.Metrics.Histogram("widget_size", "size", []float64{2, 4, 8}).
+						ObserveExemplar(float64(i), fmt.Sprintf("trace-%d", i))
+					return val{ID: tr.Cell}, nil
+				},
+			})
+		}
+		return out
+	}
+
+	ref := telemetry.NewRegistry()
+	if _, err := mustRunner(t, Config{Workers: 2, Metrics: ref}).Sweep("live", cells(nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	r := mustRunner(t, Config{Workers: 2, Metrics: reg})
+	d, err := r.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gate, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() { // scrape until the sweep returns
+		defer close(done)
+		for opened := false; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(d.URL() + "/metrics")
+			if err != nil {
+				continue
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !opened && strings.Contains(string(body), "widgets_total") {
+				opened = true
+				close(gate)
+			}
+		}
+	}()
+	rep, err := r.Sweep("live", cells(gate))
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gated cell fails unless a mid-sweep scrape showed the trials'
+	// own metrics.
+	if len(rep.Failures()) != 0 {
+		t.Fatalf("unexpected failures: %+v", rep.Failures())
+	}
+
+	got, want := reg.Snapshot(), ref.Snapshot()
+	const wall = "harness_trial_latency_ms"
+	if g, w := got.Histograms[wall].Count, want.Histograms[wall].Count; g != n || w != n {
+		t.Errorf("%s count = %d scraped, %d unscraped, want %d", wall, g, w, n)
+	}
+	delete(got.Histograms, wall)
+	delete(want.Histograms, wall)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scraped sweep rollup differs from unscraped:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -143,32 +143,41 @@ func TestWarmForkAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestSnapshotSurvivesReset rewinds past a full machine Reset: even
-// Reset's in-place zeroing must not corrupt a frozen snapshot (pages
-// shared with the snapshot are dereferenced, not zeroed).
+// TestSnapshotSurvivesReset rewinds the machine all the way back to its
+// just-built state and then forward again: restoring the earlier
+// snapshot drops every page and line the later one shares, and that
+// must not corrupt the later, frozen snapshot (shared pages are
+// dereferenced, never zeroed in place).
 func TestSnapshotSurvivesReset(t *testing.T) {
 	g := fuzz.MustNew(fuzz.DefaultConfig())
 	core, m := buildMachine(t, 9)
 	prog := g.Program(9)
-	st := core.Run(prog)
 	mach := machine.Of(core)
+	pristine, err := mach.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	defer pristine.Release()
+	st := core.Run(prog)
 	snap, err := mach.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	wantSum := regionSum(g, m)
 
-	m.Reset()
-	core.Hierarchy().Reset()
-	core.Reset()
-
+	if err := mach.Restore(pristine); err != nil {
+		t.Fatalf("restore to pristine: %v", err)
+	}
+	if got := core.Cycle(); got != 0 {
+		t.Fatalf("cycle after restore to pristine = %d, want 0", got)
+	}
 	if err := mach.Restore(snap); err != nil {
-		t.Fatalf("restore after reset: %v", err)
+		t.Fatalf("restore after rewind: %v", err)
 	}
 	if got := regionSum(g, m); got != wantSum {
-		t.Errorf("memory after reset+restore = %#x, want %#x", got, wantSum)
+		t.Errorf("memory after rewind+restore = %#x, want %#x", got, wantSum)
 	}
 	if got := core.Cycle(); got != st.Cycles {
-		t.Errorf("cycle after reset+restore = %d, want %d", got, st.Cycles)
+		t.Errorf("cycle after rewind+restore = %d, want %d", got, st.Cycles)
 	}
 }

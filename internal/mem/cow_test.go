@@ -88,9 +88,9 @@ func TestMemoryCOWFootprint(t *testing.T) {
 	}
 }
 
-// TestMemoryCOWResetIsolation dirties a fork, resets it, and asserts
-// the parent's view survives intact — Reset must deref shared slabs,
-// never zero them in place.
+// TestMemoryCOWResetIsolation dirties a fork, rewinds it to an empty
+// memory, and asserts the parent's view survives intact — Restore must
+// deref shared slabs, never zero them in place.
 func TestMemoryCOWResetIsolation(t *testing.T) {
 	parent := NewMemory()
 	for i := 0; i < 64; i++ {
@@ -98,22 +98,22 @@ func TestMemoryCOWResetIsolation(t *testing.T) {
 	}
 	f := parent.Fork()
 	f.WriteWord(0, 1) // privatise one page
-	f.Reset()
+	f.Restore(NewMemory())
 
 	for i := 0; i < 64; i++ {
 		want := uint64(i) | 0xabc0000
 		if got := parent.ReadWord(Addr(i * WordSize)); got != want {
-			t.Fatalf("parent word %d corrupted by fork Reset: got %#x, want %#x", i, got, want)
+			t.Fatalf("parent word %d corrupted by fork restore: got %#x, want %#x", i, got, want)
 		}
 		if got := f.ReadWord(Addr(i * WordSize)); got != 0 {
-			t.Fatalf("fork word %d nonzero after Reset: %#x", i, got)
+			t.Fatalf("fork word %d nonzero after restore: %#x", i, got)
 		}
 	}
 	if got := f.Footprint(); got != 0 {
-		t.Errorf("fork footprint after Reset = %d, want 0", got)
+		t.Errorf("fork footprint after restore = %d, want 0", got)
 	}
 	if got := parent.SharedPageCount(); got != 0 {
-		t.Errorf("parent still shares %d pages after fork Reset", got)
+		t.Errorf("parent still shares %d pages after fork restore", got)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestMemoryCOWRestore(t *testing.T) {
 	// Dirty both an inherited page and a brand-new one.
 	m.WriteWord(8, 0xdead)
 	m.WriteWord(Addr(10*pageWords*WordSize), 0xbeef)
-	m.Reset() // even a full reset must be rewindable
+	m.Restore(NewMemory()) // even a rewind to empty must be rewindable
 
 	m.Restore(snap)
 	if m.Reads() != wantReads || m.Writes() != wantWrites || m.Footprint() != wantFoot {

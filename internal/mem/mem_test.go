@@ -124,13 +124,13 @@ func TestMemoryBulk(t *testing.T) {
 func TestMemoryClone(t *testing.T) {
 	m := NewMemory()
 	m.WriteWord(8, 42)
-	c := m.Clone()
+	c := m.Fork()
 	c.WriteWord(8, 99)
 	if m.ReadWord(8) != 42 {
-		t.Fatal("clone mutation leaked into original")
+		t.Fatal("fork mutation leaked into original")
 	}
 	if c.ReadWord(8) != 99 {
-		t.Fatal("clone write lost")
+		t.Fatal("fork write lost")
 	}
 }
 

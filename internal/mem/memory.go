@@ -18,9 +18,9 @@ import "sync/atomic"
 // pages materialise on first write, and a per-page bitmap keeps
 // Footprint exact at word granularity.
 //
-// Pages are shared copy-on-write between memories related by Fork,
-// Clone or Restore: each page carries an atomic reference count, reads
-// go straight to the shared slab, and the first write through any owner
+// Pages are shared copy-on-write between memories related by Fork or
+// Restore: each page carries an atomic reference count, reads go
+// straight to the shared slab, and the first write through any owner
 // privatises the page (refs>1 → copy, then write). A snapshot therefore
 // costs O(pages touched since the last snapshot), not O(footprint), and
 // releasing a fork returns its private slabs to a freelist so a warm
@@ -243,28 +243,6 @@ func (m *Memory) SharedPageCount() int {
 	return n
 }
 
-// Reset returns the memory to the zero-initialized state without
-// releasing its exclusively-owned pages: contents, footprint and access
-// counters clear, but private slabs stay allocated for reuse, so a
-// reset-and-replay loop allocates nothing in steady state. Slabs shared
-// with a forked sibling are dereferenced, never zeroed — a Reset on a
-// fork must not corrupt the sibling's view.
-func (m *Memory) Reset() {
-	for k, p := range m.pages {
-		if p.refs.Load() > 1 {
-			delete(m.pages, k)
-			m.deref(p)
-			continue
-		}
-		p.words = [pageWords]uint64{}
-		p.written = [pageWords / 64]uint64{}
-	}
-	m.footprint = 0
-	m.reads = 0
-	m.writes = 0
-	m.lastKey, m.lastPage = 0, nil
-}
-
 // Fork returns a new Memory that shares every page with m copy-on-write
 // and inherits m's footprint and access counters, so the fork is an
 // observably bit-identical continuation of m. Cost is O(resident pages)
@@ -323,15 +301,4 @@ func (m *Memory) Release() {
 	m.reads = 0
 	m.writes = 0
 	m.lastKey, m.lastPage = 0, nil
-}
-
-// Clone returns a copy-on-write copy of the memory, useful for
-// re-running a program from identical initial state. Access counters
-// start fresh, as they always have; footprint describes contents and
-// carries over.
-func (m *Memory) Clone() *Memory {
-	c := m.Fork()
-	c.reads = 0
-	c.writes = 0
-	return c
 }

@@ -66,36 +66,39 @@ func TestFootprintCountsDistinctWords(t *testing.T) {
 	}
 }
 
-// TestMemoryReset checks Reset restores zero-initialized semantics while
-// keeping subsequent use correct.
+// TestMemoryReset checks that restoring a fork taken of the empty
+// memory brings back zero-initialized semantics while keeping
+// subsequent use correct.
 func TestMemoryReset(t *testing.T) {
 	m := NewMemory()
+	empty := m.Fork()
 	m.WriteWord(0x40, 0xdead)
 	m.StoreByte(0x2000, 0xff)
 	m.ReadWord(0x40)
-	m.Reset()
+	m.Restore(empty)
 	if m.Footprint() != 0 || m.Reads() != 0 || m.Writes() != 0 {
-		t.Fatalf("reset left footprint=%d reads=%d writes=%d",
+		t.Fatalf("restore to empty left footprint=%d reads=%d writes=%d",
 			m.Footprint(), m.Reads(), m.Writes())
 	}
 	if got := m.ReadWord(0x40); got != 0 {
-		t.Fatalf("word survived reset: %#x", got)
+		t.Fatalf("word survived restore: %#x", got)
 	}
 	if got := m.LoadByte(0x2000); got != 0 {
-		t.Fatalf("byte survived reset: %#x", got)
+		t.Fatalf("byte survived restore: %#x", got)
 	}
 	m.WriteWord(0x40, 5)
 	if got, fp := m.ReadWord(0x40), m.Footprint(); got != 5 || fp != 1 {
-		t.Fatalf("post-reset write: word=%d footprint=%d", got, fp)
+		t.Fatalf("post-restore write: word=%d footprint=%d", got, fp)
 	}
 }
 
-// TestCloneIsDeep verifies writes to a clone never leak into the
-// original (and vice versa) under the shared-nothing page copy.
+// TestCloneIsDeep verifies writes to a fork never leak into the
+// original (and vice versa), although the two share pages
+// copy-on-write.
 func TestCloneIsDeep(t *testing.T) {
 	m := NewMemory()
 	m.WriteWord(0x40, 1)
-	c := m.Clone()
+	c := m.Fork()
 	if c.Footprint() != m.Footprint() {
 		t.Fatalf("clone footprint %d != %d", c.Footprint(), m.Footprint())
 	}

@@ -660,18 +660,3 @@ func (h *Hierarchy) TickMSHR(now uint64) { h.mshr.Complete(now) }
 func (h *Hierarchy) NextWakeup(now uint64) (uint64, bool) {
 	return h.mshr.NextFill(now)
 }
-
-// Reset returns the hierarchy to its just-constructed state: all cache
-// levels empty (including shared levels, in multi-core/SMT wirings —
-// the caller owning the machine resets it as a whole), the MSHR file
-// drained, deferred downgrades dropped, and counters zeroed. Attached
-// telemetry handles and peer wiring are kept. Backing memory is NOT
-// touched; reset it separately if the trial needs pristine data.
-func (h *Hierarchy) Reset() {
-	h.l1i.Reset()
-	h.l1d.Reset()
-	h.l2.Reset()
-	h.mshr.Reset()
-	h.pending = h.pending[:0]
-	h.stats = Stats{}
-}

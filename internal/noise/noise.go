@@ -50,9 +50,8 @@ func (None) InterferenceStall() int { return 0 }
 // position can be snapshotted as one integer (SaveState) and restored
 // by reseed-and-replay — wrapping does not change the values drawn.
 type System struct {
-	seed int64
-	src  *detrand.CountingSource
-	rng  *rand.Rand
+	src *detrand.CountingSource
+	rng *rand.Rand
 	// Sigma is the standard deviation of per-memory-access jitter.
 	Sigma float64
 	// SpikeProb is the per-cycle probability of an interference event.
@@ -65,7 +64,7 @@ type System struct {
 // caller's.
 func newSystem(seed int64) *System {
 	src := detrand.NewCountingSource(seed)
-	return &System{seed: seed, src: src, rng: rand.New(src)}
+	return &System{src: src, rng: rand.New(src)}
 }
 
 // NewSystem returns the calibrated model used for the paper's
@@ -91,10 +90,6 @@ func NewHostOS(seed int64) *System {
 	s.SpikeMax = 2000
 	return s
 }
-
-// Reset rewinds the noise stream to its original seed, so a reset
-// machine draws exactly the jitter and spikes a fresh one would.
-func (s *System) Reset() { s.src.Seed(s.seed) }
 
 // SaveState captures the noise stream position.
 func (s *System) SaveState() any { return s.src.Draws() }

@@ -235,12 +235,6 @@ func (c *CleanupSpec) CommitLoadPenalty() int { return 0 }
 // Stats implements Scheme.
 func (c *CleanupSpec) Stats() Stats { return c.stats }
 
-// Reset zeroes accumulated statistics so a reused machine starts its
-// next trial from the state of a fresh one. The scheme holds no other
-// mutable state; telemetry handles persist (registry counters are
-// cumulative by design).
-func (c *CleanupSpec) Reset() { c.stats = Stats{} }
-
 // OnSquash implements Scheme: the T3–T5 rollback.
 func (c *CleanupSpec) OnSquash(h *memsys.Hierarchy, ctx SquashContext) Result {
 	var res Result
@@ -301,9 +295,6 @@ func (u *Unsafe) CommitLoadPenalty() int { return 0 }
 
 // Stats implements Scheme.
 func (u *Unsafe) Stats() Stats { return u.stats }
-
-// Reset zeroes accumulated statistics (see CleanupSpec.Reset).
-func (u *Unsafe) Reset() { u.stats = Stats{} }
 
 // OnSquash implements Scheme: keep the footprints, clear the marks so
 // the lines behave as ordinary cached data afterwards.
@@ -367,12 +358,6 @@ func (c *ConstantTime) CommitLoadPenalty() int { return 0 }
 
 // Stats implements Scheme.
 func (c *ConstantTime) Stats() Stats { return c.stats }
-
-// Reset zeroes accumulated statistics, including the wrapped scheme's.
-func (c *ConstantTime) Reset() {
-	c.stats = Stats{}
-	c.inner.Reset()
-}
 
 // OnSquash implements Scheme.
 func (c *ConstantTime) OnSquash(h *memsys.Hierarchy, ctx SquashContext) Result {
@@ -458,17 +443,15 @@ type FuzzyTime struct {
 	inner *CleanupSpec
 	// MaxDummyCycles bounds the padded stall.
 	MaxDummyCycles int
-	// rngState is a SplitMix64 stream; deterministic per seed. seed
-	// keeps the initial value so Reset replays the same dummy stream.
+	// rngState is a SplitMix64 stream; deterministic per seed.
 	rngState uint64
-	seed     uint64
 	stats    Stats
 	met      schemeMetrics
 }
 
 // NewFuzzyTime returns the dummy-delay scheme.
 func NewFuzzyTime(maxDummy int, seed uint64) *FuzzyTime {
-	return &FuzzyTime{inner: NewCleanupSpec(), MaxDummyCycles: maxDummy, rngState: seed, seed: seed}
+	return &FuzzyTime{inner: NewCleanupSpec(), MaxDummyCycles: maxDummy, rngState: seed}
 }
 
 // Name implements Scheme.
@@ -484,15 +467,6 @@ func (f *FuzzyTime) CommitLoadPenalty() int { return 0 }
 
 // Stats implements Scheme.
 func (f *FuzzyTime) Stats() Stats { return f.stats }
-
-// Reset zeroes statistics and rewinds the dummy-delay stream to its
-// original seed, so a reset machine draws exactly the delays a fresh
-// one would.
-func (f *FuzzyTime) Reset() {
-	f.stats = Stats{}
-	f.rngState = f.seed
-	f.inner.Reset()
-}
 
 func (f *FuzzyTime) next() uint64 {
 	f.rngState += 0x9e3779b97f4a7c15
@@ -541,9 +515,6 @@ func (i *InvisibleLite) CommitLoadPenalty() int { return i.Penalty }
 
 // Stats implements Scheme.
 func (i *InvisibleLite) Stats() Stats { return i.stats }
-
-// Reset zeroes accumulated statistics (see CleanupSpec.Reset).
-func (i *InvisibleLite) Reset() { i.stats = Stats{} }
 
 // OnSquash implements Scheme: nothing was installed, nothing to do.
 func (i *InvisibleLite) OnSquash(h *memsys.Hierarchy, ctx SquashContext) Result {

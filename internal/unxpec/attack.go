@@ -217,38 +217,6 @@ func (a *Attack) buildEvictionSets() error {
 	return nil
 }
 
-// Reset returns the attack to its freshly-constructed state without
-// allocating a new machine: backing memory re-seeded, caches and MSHRs
-// emptied, predictor untrained, scheme statistics zeroed, round
-// counters cleared. A reset attack produces bit-identical measurements
-// to a brand-new one with the same Options, which benchmark loops rely
-// on to reuse one instance with zero steady-state allocation.
-func (a *Attack) Reset() error {
-	a.hier.Memory().Reset()
-	a.layout.InstallData(a.hier.Memory())
-	a.hier.Reset()
-	a.core.Reset()
-	if r, ok := a.core.Predictor().(interface{ Reset() }); ok {
-		r.Reset()
-	}
-	if r, ok := a.core.Scheme().(interface{ Reset() }); ok {
-		r.Reset()
-	}
-	if r, ok := a.opts.Noise.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-	a.trained = false
-	a.rounds = 0
-	a.roundCycles = 0
-	if a.opts.UseEvictionSets && a.opts.TimingBasedEvictionSets {
-		// The timing verification in New warmed the caches; replay it so
-		// the machine state matches a fresh construction exactly.
-		a.primeLines = a.primeLines[:0]
-		return a.buildEvictionSets()
-	}
-	return nil
-}
-
 // Layout returns the attack's memory layout.
 func (a *Attack) Layout() Layout { return a.layout }
 

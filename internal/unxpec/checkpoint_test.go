@@ -10,7 +10,7 @@ import (
 // attack and requires every restored replay of the same secret
 // sequence to produce bit-identical latencies — the contract that lets
 // measurement campaigns fork thousands of trials from one warm state
-// instead of paying Reset's full retraining cost per trial.
+// instead of paying construction and training per trial.
 func TestCheckpointReplaysIdentically(t *testing.T) {
 	secrets := []int{1, 0, 1, 1, 0, 0, 1, 0}
 

@@ -56,7 +56,6 @@ var globalRandFuncs = map[string]bool{
 var forkFamily = map[string]bool{
 	"Fork": true, "Snapshot": true, "Restore": true,
 	"SaveState": true, "RestoreState": true, "Checkpoint": true,
-	"ForkReplica": true,
 }
 
 // orderSinkMethods are method names that emit bytes in call order;

@@ -30,9 +30,9 @@ func (m *machine) SaveState() any {
 	return time.Now() //simlint:wallclock pretend this is fine // want "fork-family function SaveState"
 }
 
-// ForkReplica seeds a worker replica from the global generator — two
-// workers would fork different machines and batch results would
-// depend on scheduling.
-func (m *machine) ForkReplica() *machine {
-	return &machine{seed: rand.Int63()} // want "global generator" "fork-family function ForkReplica"
+// Checkpoint seeds the captured replica from the global generator —
+// two workers checkpointing the same machine would fork different
+// replicas and batch results would depend on scheduling.
+func (m *machine) Checkpoint() *machine {
+	return &machine{seed: rand.Int63()} // want "global generator" "fork-family function Checkpoint"
 }

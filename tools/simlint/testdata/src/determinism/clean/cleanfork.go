@@ -26,10 +26,10 @@ func (m *machine) Fork() *machine {
 	return &out
 }
 
-// ForkReplica builds a worker's replica purely from captured state —
+// Checkpoint builds a worker's replica purely from captured state —
 // every worker forks the identical machine, so batch results are a
 // pure function of the trial index.
-func (m *machine) ForkReplica() *machine {
+func (m *machine) Checkpoint() *machine {
 	out := *m
 	out.draws = 0
 	return &out

@@ -77,7 +77,8 @@ func Dynamic(s, other State) bool {
 	return false
 }
 
-// TrialStatus mirrors the engine's batched-trial outcome enum.
+// TrialStatus is a small trial-outcome enum whose switch has a default
+// arm as well as every member.
 type TrialStatus uint8
 
 // The trial outcomes.
@@ -88,7 +89,7 @@ const (
 )
 
 // Render covers every trial outcome plus a default fallback for
-// out-of-range values — the engine's String shape.
+// out-of-range values — the usual String shape.
 func Render(s TrialStatus) string {
 	switch s {
 	case TrialOK:
