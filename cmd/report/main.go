@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		quick     = flag.Bool("quick", false, "reduced sample counts (~20 s instead of minutes)")
+		quick     = flag.Bool("quick", false, "reduced sample counts (about 1.5 s instead of 5 s on 2 vCPUs)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		out       = flag.String("o", "", "also write the markdown report to this file")
 		noMetrics = flag.Bool("no-metrics", false, "skip the campaign metrics table")

@@ -217,11 +217,11 @@ func TestMaskedRegionAddressStaysUntainted(t *testing.T) {
 	// though the exact address is unknown.
 	p := isa.NewBuilder().
 		Const(9, regionBase).
-		Load(1, 9, 0).   // unknown region word
+		Load(1, 9, 0). // unknown region word
 		Const(2, 56).
-		And(3, 1, 2).    // [0, 56]
-		Add(4, 9, 3).    // [regionBase, regionBase+56]
-		Load(5, 4, 0).   // stays inside the region: no secret reachable
+		And(3, 1, 2).  // [0, 56]
+		Add(4, 9, 3).  // [regionBase, regionBase+56]
+		Load(5, 4, 0). // stays inside the region: no secret reachable
 		BranchNE(5, 0, "x").
 		Label("x").
 		Halt().

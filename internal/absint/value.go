@@ -25,8 +25,8 @@ func (v aval) known() bool { return v.lo == v.hi }
 // val returns the pinned value; callers must check known.
 func (v aval) val() uint64 { return v.lo }
 
-func knownVal(x uint64) aval  { return aval{lo: x, hi: x, sourcePC: -1} }
-func topUntainted() aval      { return aval{lo: 0, hi: allOnes, sourcePC: -1} }
+func knownVal(x uint64) aval { return aval{lo: x, hi: x, sourcePC: -1} }
+func topUntainted() aval     { return aval{lo: 0, hi: allOnes, sourcePC: -1} }
 func topTainted(t Taint, src int) aval {
 	return aval{taint: t, lo: 0, hi: allOnes, sourcePC: src}
 }

@@ -160,7 +160,7 @@ func (p *randomPolicy) SaveState() any { return p.src.Draws() }
 
 // RestoreState rewinds or fast-forwards the victim stream to a saved
 // position without reallocating the generator.
-func (p *randomPolicy) RestoreState(v any) { p.src.SeekTo(v.(uint64)) }
+func (p *randomPolicy) RestoreState(v any)        { p.src.SeekTo(v.(uint64)) }
 func (p *randomPolicy) OnAccess(set, way int)     {}
 func (p *randomPolicy) OnFill(set, way int)       {}
 func (p *randomPolicy) OnInvalidate(set, way int) {}

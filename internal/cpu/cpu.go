@@ -12,10 +12,10 @@
 // says rollback takes. Fences and RDTSC have their serializing x86
 // semantics so the attack's measurement window is exact.
 //
-// ROB state lives struct-of-arrays in an Arena (arena.go): the live
-// window is the index range [robHead, robHead+robLen) across parallel
-// field slices, so the per-cycle scans touch dense narrow arrays and a
-// batch worker can share one arena across every trial it runs.
+// The ROB is a slice of entry records owned by the core: the live
+// window is the index range [robHead, robHead+robLen) of a buffer twice
+// the architectural size, so head pops are O(1) and compaction on push
+// is amortized.
 package cpu
 
 import (
@@ -129,6 +129,53 @@ func (s Stats) IPC() float64 {
 	return float64(s.Retired) / float64(s.Cycles)
 }
 
+// entry is one ROB entry. The pipeline reads and writes entries in
+// place in CPU.rob; State capture (state.go) copies them by value,
+// which is sound because an entry holds no pointers.
+type entry struct {
+	seq       uint64
+	idx       int // instruction index (simulated PC)
+	inst      isa.Inst
+	fetchedAt uint64
+	flags     entryFlags
+	doneAt    uint64
+	val       uint64
+
+	// srcA and srcB are captured at issue for branch resolution and
+	// stores.
+	srcA, srcB uint64
+
+	addr          mem.Addr
+	specEpoch     uint64
+	commitPenalty int
+	access        memsys.AccessResult
+}
+
+// entryFlags packs the per-entry booleans of a ROB entry into one word,
+// so a flag test in the stage scans is a single load.
+type entryFlags uint16
+
+const (
+	fIssued entryFlags = 1 << iota
+	fDone
+	fPredTaken
+	fResolved
+	fAddrResolved
+	fSpecAtIssue
+	fCommittedSpec
+	fShadowed // invisible-scheme load: issued without install
+	fSquashed
+	// fFaulting marks a divide whose divisor was zero at issue; the trap
+	// fires when it reaches the head of the ROB.
+	fFaulting
+)
+
+// is reports whether flag f is set on the entry.
+func (e *entry) is(f entryFlags) bool { return e.flags&f != 0 }
+
+// set sets flag f on the entry.
+func (e *entry) set(f entryFlags) { e.flags |= f }
+
 // CPU is one simulated core bound to a hierarchy, predictor, scheme and
 // noise model. A CPU is reusable across Runs; microarchitectural state
 // (caches, predictor training) persists between runs, which is exactly
@@ -143,9 +190,9 @@ type CPU struct {
 	regs [isa.NumRegs]uint64
 
 	// Run state. The ROB is the contiguous index window
-	// [robHead, robHead+robLen) into the struct-of-arrays arena.
+	// [robHead, robHead+robLen) into rob.
 	prog          *isa.Program
-	ar            *Arena
+	rob           []entry
 	robHead       int
 	robLen        int
 	nextSeq       uint64
@@ -186,17 +233,8 @@ type CPU struct {
 	transientsBuf []undo.TransientLoad
 }
 
-// New builds a core with its own private arena. A nil noise model means
-// noise.None.
+// New builds a core. A nil noise model means noise.None.
 func New(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, scheme undo.Scheme, nz noise.Model) (*CPU, error) {
-	return NewWithArena(cfg, hier, pred, scheme, nz, nil)
-}
-
-// NewWithArena builds a core backed by a caller-owned arena (nil
-// allocates a private one). Sharing an arena is how a batch worker runs
-// many machines with zero steady-state allocation; the caller must
-// ensure only one core uses the arena at a time.
-func NewWithArena(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, scheme undo.Scheme, nz noise.Model, ar *Arena) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,17 +244,12 @@ func NewWithArena(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, sch
 	if nz == nil {
 		nz = noise.None{}
 	}
-	c := &CPU{cfg: cfg, hier: hier, pred: pred, scheme: scheme, noise: nz}
-	// The ROB window lives in arena slices twice the architectural size
-	// so head pops are O(1) and compaction on push is amortized; slots
-	// are reused in place, so the steady-state run loop performs zero
-	// heap allocations.
-	if ar == nil {
-		ar = NewArena(cfg.ROBSize)
-	} else {
-		ar.Ensure(cfg.ROBSize)
-	}
-	c.ar = ar
+	// The ROB window lives in a buffer twice the architectural size so
+	// head pops are O(1) and compaction on push is amortized; slots are
+	// reused in place, so the steady-state run loop performs zero heap
+	// allocations.
+	c := &CPU{cfg: cfg, hier: hier, pred: pred, scheme: scheme, noise: nz,
+		rob: make([]entry, 2*cfg.ROBSize)}
 	// Idle-cycle skipping is exact only when the noise model is
 	// consulted a position-independent number of times, i.e. never
 	// injects anything. Models advertise that via the Silent marker.
@@ -225,28 +258,6 @@ func NewWithArena(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, sch
 		c.ff = true
 	}
 	return c, nil
-}
-
-// Arena returns the struct-of-arrays backing store for the core's ROB.
-// Batch workers read this off their first replica to share it with
-// later ones (AdoptArena).
-func (c *CPU) Arena() *Arena { return c.ar }
-
-// AdoptArena moves the core's ROB state into ar and uses it from then
-// on. The live window is copied to the front of the new arena; the old
-// arena is released. Must only be called between Steps (never from
-// inside a stage); the caller must ensure no other core is concurrently
-// using ar.
-func (c *CPU) AdoptArena(ar *Arena) {
-	if ar == c.ar {
-		return
-	}
-	ar.Ensure(c.cfg.ROBSize)
-	for i := 0; i < c.robLen; i++ {
-		ar.store(i, c.ar.load(c.robHead+i))
-	}
-	c.robHead = 0
-	c.ar = ar
 }
 
 // SetFastForward forces idle-cycle skipping on or off. The default is
@@ -398,10 +409,10 @@ func (c *CPU) nextWakeupFrom(from uint64) uint64 {
 			w = t
 		}
 	}
-	// SoA win: this scan touches only the flags and doneAt arrays.
 	for p := c.robHead; p < c.robHead+c.robLen; p++ {
-		if c.ar.is(p, fIssued) && c.ar.doneAt[p] >= from {
-			lower(c.ar.doneAt[p])
+		e := &c.rob[p]
+		if e.is(fIssued) && e.doneAt >= from {
+			lower(e.doneAt)
 		}
 	}
 	if !c.fetchStopped {
@@ -530,14 +541,15 @@ func (c *CPU) retire() {
 	}
 	for n := 0; n < c.cfg.RetireWidth && c.robLen > 0; n++ {
 		p := c.robHead
-		if !c.ar.is(p, fDone) || c.ar.doneAt[p] > c.cycle {
+		e := &c.rob[p]
+		if !e.is(fDone) || e.doneAt > c.cycle {
 			return
 		}
-		op := c.ar.inst[p].Op
-		if op.IsBranch() && !c.ar.is(p, fResolved) {
+		op := e.inst.Op
+		if op.IsBranch() && !e.is(fResolved) {
 			return
 		}
-		if op == isa.OpDiv && c.ar.is(p, fFaulting) {
+		if op == isa.OpDiv && e.is(fFaulting) {
 			c.trap()
 			return
 		}
@@ -545,9 +557,9 @@ func (c *CPU) retire() {
 		// Apply architectural effects.
 		switch op {
 		case isa.OpStore:
-			c.hier.Write(c.ar.addr[p], c.ar.srcB[p], c.cycle)
+			c.hier.Write(e.addr, e.srcB, c.cycle)
 		case isa.OpFlush:
-			c.hier.Flush(c.ar.addr[p])
+			c.hier.Flush(e.addr)
 		case isa.OpHalt:
 			c.emit(KindRetire, p, 0)
 			c.halted = true
@@ -556,13 +568,13 @@ func (c *CPU) retire() {
 			c.met.retired.Inc()
 			return
 		default:
-			if rd, ok := c.ar.inst[p].DstReg(); ok {
-				c.regs[rd] = c.ar.val[p]
+			if rd, ok := e.inst.DstReg(); ok {
+				c.regs[rd] = e.val
 			}
 		}
 		c.emit(KindRetire, p, 0)
-		if c.ar.commitPenalty[p] > 0 {
-			c.retireBlocked = c.cycle + uint64(c.ar.commitPenalty[p])
+		if e.commitPenalty > 0 {
+			c.retireBlocked = c.cycle + uint64(e.commitPenalty)
 			c.popROB()
 			c.stats.Retired++
 			c.met.retired.Inc()
@@ -581,13 +593,13 @@ func (c *CPU) popROB() {
 }
 
 // pushSlot claims the slot after the live window and returns its index,
-// compacting the window to the front of the arena when it reaches the
+// compacting the window to the front of the buffer when it reaches the
 // end. fetch only pushes while robLen < ROBSize, so the 2×ROBSize
-// arena never overflows.
+// buffer never overflows.
 func (c *CPU) pushSlot() int {
 	end := c.robHead + c.robLen
-	if end == len(c.ar.seq) {
-		c.ar.compact(c.robHead, c.robLen)
+	if end == len(c.rob) {
+		copy(c.rob, c.rob[c.robHead:end])
 		c.robHead = 0
 		end = c.robLen
 	}
@@ -601,9 +613,10 @@ func (c *CPU) complete() {
 	// Fences complete when everything older is done.
 	for i := 0; i < c.robLen; i++ {
 		p := c.robHead + i
-		if c.ar.inst[p].Op == isa.OpFence && !c.ar.is(p, fDone) && c.allOlderDone(i) {
-			c.ar.set(p, fDone)
-			c.ar.doneAt[p] = c.cycle
+		e := &c.rob[p]
+		if e.inst.Op == isa.OpFence && !e.is(fDone) && c.allOlderDone(i) {
+			e.set(fDone)
+			e.doneAt = c.cycle
 			c.progressed = true
 		}
 	}
@@ -611,15 +624,16 @@ func (c *CPU) complete() {
 	// the oldest first: an older mispredict supersedes younger ones.
 	for i := 0; i < c.robLen; i++ {
 		p := c.robHead + i
-		if !c.ar.inst[p].Op.IsBranch() || !c.ar.is(p, fIssued) || c.ar.is(p, fResolved) || c.ar.doneAt[p] > c.cycle {
+		e := &c.rob[p]
+		if !e.inst.Op.IsBranch() || !e.is(fIssued) || e.is(fResolved) || e.doneAt > c.cycle {
 			continue
 		}
-		c.ar.set(p, fDone|fResolved)
+		e.set(fDone | fResolved)
 		c.progressed = true
-		actual := branchTaken(c.ar.inst[p].Op, c.ar.srcA[p], c.ar.srcB[p])
-		mispred := actual != c.ar.is(p, fPredTaken)
+		actual := branchTaken(e.inst.Op, e.srcA, e.srcB)
+		mispred := actual != e.is(fPredTaken)
 		c.emit(KindResolve, p, boolToDetail(mispred))
-		c.pred.Update(c.ar.idx[p], actual, c.ar.inst[p].Target, mispred)
+		c.pred.Update(e.idx, actual, e.inst.Target, mispred)
 		if mispred {
 			c.squash(i, actual)
 			// Everything younger is gone; resolution pass is over.
@@ -632,7 +646,7 @@ func (c *CPU) complete() {
 // completedNow reports whether entry p's execution has truly finished by
 // the current cycle (issue marks done with a future doneAt).
 func (c *CPU) completedNow(p int) bool {
-	return c.ar.is(p, fDone) && c.ar.doneAt[p] <= c.cycle
+	return c.rob[p].is(fDone) && c.rob[p].doneAt <= c.cycle
 }
 
 // allOlderDone reports whether every ROB entry older than position i is
@@ -656,10 +670,11 @@ func (c *CPU) commitClearedLoads() {
 	shadowed := false
 	for i := 0; i < c.robLen; i++ {
 		p := c.robHead + i
-		op := c.ar.inst[p].Op
-		castsShadow := (op.IsBranch() && !c.ar.is(p, fResolved)) ||
-			(op == isa.OpDiv && (!c.ar.is(p, fIssued) || c.ar.is(p, fFaulting)))
-		if op != isa.OpLoad || !c.ar.is(p, fIssued) || !c.ar.is(p, fSpecAtIssue) || c.ar.is(p, fCommittedSpec) {
+		e := &c.rob[p]
+		op := e.inst.Op
+		castsShadow := (op.IsBranch() && !e.is(fResolved)) ||
+			(op == isa.OpDiv && (!e.is(fIssued) || e.is(fFaulting)))
+		if op != isa.OpLoad || !e.is(fIssued) || !e.is(fSpecAtIssue) || e.is(fCommittedSpec) {
 			if castsShadow {
 				shadowed = true
 			}
@@ -668,14 +683,14 @@ func (c *CPU) commitClearedLoads() {
 		if shadowed {
 			continue
 		}
-		c.ar.set(p, fCommittedSpec)
+		e.set(fCommittedSpec)
 		c.progressed = true
-		if c.ar.is(p, fShadowed) {
+		if e.is(fShadowed) {
 			// Invisible scheme: install now that the load is safe.
-			c.hier.Read(c.ar.addr[p], false, 0, c.cycle)
-			c.ar.commitPenalty[p] = c.scheme.CommitLoadPenalty()
+			c.hier.Read(e.addr, false, 0, c.cycle)
+			e.commitPenalty = c.scheme.CommitLoadPenalty()
 		} else {
-			c.hier.CommitLine(c.ar.addr[p])
+			c.hier.CommitLine(e.addr)
 		}
 	}
 }
@@ -686,7 +701,7 @@ func (c *CPU) commitClearedLoads() {
 func (c *CPU) squash(i int, actualTaken bool) {
 	bp := c.robHead + i
 	c.stats.Squashes++
-	c.stats.LastBranchResolution = c.cycle - c.ar.fetchedAt[bp]
+	c.stats.LastBranchResolution = c.cycle - c.rob[bp].fetchedAt
 	c.met.squashes.Inc()
 	c.met.resolution.ObserveInt(c.stats.LastBranchResolution)
 	c.met.robOcc.Observe(float64(c.robLen))
@@ -699,22 +714,23 @@ func (c *CPU) squash(i int, actualTaken bool) {
 	inflightCleaned := 0
 	for j := i + 1; j < c.robLen; j++ {
 		p := c.robHead + j
-		c.ar.set(p, fSquashed)
+		e := &c.rob[p]
+		e.set(fSquashed)
 		c.stats.SquashedInst++
 		c.met.squashedInst.Inc()
-		if c.ar.inst[p].Op != isa.OpLoad || !c.ar.is(p, fIssued) || c.ar.is(p, fShadowed) {
+		if e.inst.Op != isa.OpLoad || !e.is(fIssued) || e.is(fShadowed) {
 			continue
 		}
-		if !c.ar.is(p, fDone) || c.ar.doneAt[p] > c.cycle {
+		if !e.is(fDone) || e.doneAt > c.cycle {
 			inflightCleaned++
 		}
-		if c.ar.access[p].InstalledL1 || c.ar.access[p].InstalledL2 {
+		if e.access.InstalledL1 || e.access.InstalledL2 {
 			transients = append(transients, undo.TransientLoad{
-				LineAddr:    c.ar.addr[p].Line(),
-				InstalledL1: c.ar.access[p].InstalledL1,
-				InstalledL2: c.ar.access[p].InstalledL2,
-				HasVictim:   c.ar.access[p].HasL1Victim && !c.ar.access[p].L1VictimSpec,
-				VictimAddr:  c.ar.access[p].L1VictimAddr,
+				LineAddr:    e.addr.Line(),
+				InstalledL1: e.access.InstalledL1,
+				InstalledL2: e.access.InstalledL2,
+				HasVictim:   e.access.HasL1Victim && !e.access.L1VictimSpec,
+				VictimAddr:  e.access.L1VictimAddr,
 			})
 		}
 	}
@@ -723,15 +739,16 @@ func (c *CPU) squash(i int, actualTaken bool) {
 	cleanupStart := c.cycle
 	for j := 0; j <= i; j++ {
 		p := c.robHead + j
-		if c.ar.is(p, fIssued) && !c.ar.is(p, fDone) && c.ar.inst[p].Op == isa.OpLoad && c.ar.doneAt[p] > cleanupStart {
-			cleanupStart = c.ar.doneAt[p]
+		e := &c.rob[p]
+		if e.is(fIssued) && !e.is(fDone) && e.inst.Op == isa.OpLoad && e.doneAt > cleanupStart {
+			cleanupStart = e.doneAt
 		}
 	}
 
-	c.hier.MSHR().CleanSpeculative(c.ar.seq[bp])
+	c.hier.MSHR().CleanSpeculative(c.rob[bp].seq)
 	c.transientsBuf = transients
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.ar.seq[bp],
+		Epoch:              c.rob[bp].seq,
 		Now:                c.cycle,
 		Transients:         transients,
 		InflightCleaned:    inflightCleaned,
@@ -751,9 +768,9 @@ func (c *CPU) squash(i int, actualTaken bool) {
 	// Discard the wrong path and redirect fetch.
 	c.robLen = i + 1
 	if actualTaken {
-		c.fetchPC = c.ar.inst[bp].Target
+		c.fetchPC = c.rob[bp].inst.Target
 	} else {
-		c.fetchPC = c.ar.idx[bp] + 1
+		c.fetchPC = c.rob[bp].idx + 1
 	}
 	c.fetchStopped = false
 	c.fetchReady = stallEnd + uint64(c.cfg.SquashPenalty)
@@ -773,7 +790,7 @@ func (c *CPU) squash(i int, actualTaken bool) {
 func (c *CPU) trap() {
 	dp := c.robHead
 	c.stats.Squashes++
-	c.stats.LastBranchResolution = c.cycle - c.ar.fetchedAt[dp]
+	c.stats.LastBranchResolution = c.cycle - c.rob[dp].fetchedAt
 	c.met.squashes.Inc()
 	c.met.resolution.ObserveInt(c.stats.LastBranchResolution)
 	c.met.robOcc.Observe(float64(c.robLen))
@@ -783,30 +800,31 @@ func (c *CPU) trap() {
 	inflightCleaned := 0
 	for j := 1; j < c.robLen; j++ {
 		p := c.robHead + j
-		c.ar.set(p, fSquashed)
+		e := &c.rob[p]
+		e.set(fSquashed)
 		c.stats.SquashedInst++
 		c.met.squashedInst.Inc()
-		if c.ar.inst[p].Op != isa.OpLoad || !c.ar.is(p, fIssued) || c.ar.is(p, fShadowed) {
+		if e.inst.Op != isa.OpLoad || !e.is(fIssued) || e.is(fShadowed) {
 			continue
 		}
-		if !c.ar.is(p, fDone) || c.ar.doneAt[p] > c.cycle {
+		if !e.is(fDone) || e.doneAt > c.cycle {
 			inflightCleaned++
 		}
-		if c.ar.access[p].InstalledL1 || c.ar.access[p].InstalledL2 {
+		if e.access.InstalledL1 || e.access.InstalledL2 {
 			transients = append(transients, undo.TransientLoad{
-				LineAddr:    c.ar.addr[p].Line(),
-				InstalledL1: c.ar.access[p].InstalledL1,
-				InstalledL2: c.ar.access[p].InstalledL2,
-				HasVictim:   c.ar.access[p].HasL1Victim && !c.ar.access[p].L1VictimSpec,
-				VictimAddr:  c.ar.access[p].L1VictimAddr,
+				LineAddr:    e.addr.Line(),
+				InstalledL1: e.access.InstalledL1,
+				InstalledL2: e.access.InstalledL2,
+				HasVictim:   e.access.HasL1Victim && !e.access.L1VictimSpec,
+				VictimAddr:  e.access.L1VictimAddr,
 			})
 		}
 	}
 
-	c.hier.MSHR().CleanSpeculative(c.ar.seq[dp])
+	c.hier.MSHR().CleanSpeculative(c.rob[dp].seq)
 	c.transientsBuf = transients
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.ar.seq[dp],
+		Epoch:              c.rob[dp].seq,
 		Now:                c.cycle,
 		Transients:         transients,
 		InflightCleaned:    inflightCleaned,
@@ -849,7 +867,7 @@ func (c *CPU) issue() {
 	fenceBlocked := false              // incomplete fence among older entries
 	ubSeq, ubFound := uint64(0), false // youngest older speculation source
 	divIssuedClean := false            // a div proved safe this cycle
-	// lastWriter holds, per register, 1 + the arena position of its
+	// lastWriter holds, per register, 1 + the buffer position of its
 	// youngest older producer (0 = none in the window). Positions are
 	// stable within one issue pass: nothing pushes or pops mid-scan.
 	var lastWriter [isa.NumRegs]int32
@@ -858,26 +876,28 @@ func (c *CPU) issue() {
 			break
 		}
 		p := c.robHead + i
+		e := &c.rob[p]
 		if i > 0 {
 			q := p - 1
-			qOp := c.ar.inst[q].Op
-			if rd, ok := c.ar.inst[q].DstReg(); ok {
+			prev := &c.rob[q]
+			qOp := prev.inst.Op
+			if rd, ok := prev.inst.DstReg(); ok {
 				lastWriter[rd] = int32(q) + 1
 			}
 			if qOp == isa.OpFence && !c.completedNow(q) {
 				fenceBlocked = true
 			}
-			if qOp.IsBranch() && !c.ar.is(q, fResolved) {
-				ubSeq, ubFound = c.ar.seq[q], true
+			if qOp.IsBranch() && !prev.is(fResolved) {
+				ubSeq, ubFound = prev.seq, true
 			}
 			// A divide is a speculation source until it proves its
 			// divisor non-zero at issue: younger loads run in the
 			// exception-transient window of a potential divide fault.
-			if qOp == isa.OpDiv && (!c.ar.is(q, fIssued) || c.ar.is(q, fFaulting)) {
-				ubSeq, ubFound = c.ar.seq[q], true
+			if qOp == isa.OpDiv && (!prev.is(fIssued) || prev.is(fFaulting)) {
+				ubSeq, ubFound = prev.seq, true
 			}
 		}
-		if c.ar.is(p, fIssued) {
+		if e.is(fIssued) {
 			continue
 		}
 		scanned++
@@ -887,25 +907,25 @@ func (c *CPU) issue() {
 		if fenceBlocked {
 			continue
 		}
-		op := c.ar.inst[p].Op
+		op := e.inst.Op
 		switch op {
 		case isa.OpFence:
 			// Completes via complete(); takes no issue slot.
-			c.ar.set(p, fIssued)
+			e.set(fIssued)
 			c.progressed = true
 			continue
 		case isa.OpHalt, isa.OpNop, isa.OpJmp:
-			c.ar.set(p, fIssued|fDone)
-			c.ar.doneAt[p] = c.cycle
+			e.set(fIssued | fDone)
+			e.doneAt = c.cycle
 			c.progressed = true
 			continue
 		case isa.OpRdTSC:
 			if !c.allOlderDone(i) {
 				continue
 			}
-			c.ar.set(p, fIssued|fDone)
-			c.ar.doneAt[p] = c.cycle + 1
-			c.ar.val[p] = c.cycle
+			e.set(fIssued | fDone)
+			e.doneAt = c.cycle + 1
+			e.val = c.cycle
 			issued++
 			continue
 		default:
@@ -916,71 +936,71 @@ func (c *CPU) issue() {
 		if !ready {
 			continue
 		}
-		c.ar.srcA[p], c.ar.srcB[p] = vals[0], vals[1]
+		e.srcA, e.srcB = vals[0], vals[1]
 		switch op {
 		case isa.OpLoad:
 			if loads >= c.cfg.LoadPorts {
 				continue
 			}
-			addr := mem.Addr(vals[0] + uint64(c.ar.inst[p].Imm))
-			c.ar.addr[p] = addr
-			c.ar.set(p, fAddrResolved)
+			addr := mem.Addr(vals[0] + uint64(e.inst.Imm))
+			e.addr = addr
+			e.set(fAddrResolved)
 			if c.blockedByOlderStore(i, addr) {
 				continue
 			}
 			epoch, spec := ubSeq, ubFound
 			if spec {
-				c.ar.set(p, fSpecAtIssue)
+				e.set(fSpecAtIssue)
 			}
-			c.ar.specEpoch[p] = epoch
+			e.specEpoch = epoch
 			var lat int
 			if spec && !c.scheme.VisibleSpeculation() {
-				c.ar.set(p, fShadowed)
-				c.ar.access[p] = c.hier.ReadShadow(addr, epoch, c.cycle)
-				lat = c.ar.access[p].Latency
+				e.set(fShadowed)
+				e.access = c.hier.ReadShadow(addr, epoch, c.cycle)
+				lat = e.access.Latency
 			} else {
-				c.ar.access[p] = c.hier.Read(addr, spec, epoch, c.cycle)
-				lat = c.ar.access[p].Latency
+				e.access = c.hier.Read(addr, spec, epoch, c.cycle)
+				lat = e.access.Latency
 			}
-			if c.ar.access[p].MemAccess {
+			if e.access.MemAccess {
 				lat += c.noise.LoadJitter()
 				if lat < 1 {
 					lat = 1
 				}
 			}
-			c.ar.val[p] = c.ar.access[p].Value
-			c.ar.set(p, fIssued|fDone)
-			c.ar.doneAt[p] = c.cycle + uint64(lat)
+			e.val = e.access.Value
+			e.set(fIssued | fDone)
+			e.doneAt = c.cycle + uint64(lat)
 			c.met.loadLatency.Observe(float64(lat))
 			c.emit(KindIssue, p, int64(lat))
 			issued++
 			loads++
 		case isa.OpStore, isa.OpFlush:
-			c.ar.addr[p] = mem.Addr(vals[0] + uint64(c.ar.inst[p].Imm))
-			c.ar.set(p, fAddrResolved|fIssued|fDone)
-			c.ar.doneAt[p] = c.cycle + 1
+			e.addr = mem.Addr(vals[0] + uint64(e.inst.Imm))
+			e.set(fAddrResolved | fIssued | fDone)
+			e.doneAt = c.cycle + 1
 			c.emit(KindIssue, p, 1)
 			issued++
 		case isa.OpBranchLT, isa.OpBranchGE, isa.OpBranchEQ, isa.OpBranchNE:
-			c.ar.set(p, fIssued)
-			c.ar.doneAt[p] = c.cycle + uint64(c.cfg.BranchLatency)
+			e.set(fIssued)
+			e.doneAt = c.cycle + uint64(c.cfg.BranchLatency)
 			c.emit(KindIssue, p, int64(c.cfg.BranchLatency))
 			issued++
 		default:
-			c.ar.val[p] = alu(c.ar.inst[p], vals)
+			e.val = alu(e.inst, vals)
 			lat := c.cfg.ALULatency
 			if op == isa.OpMul || op == isa.OpDiv {
 				lat = c.cfg.MulLatency
 			}
 			if op == isa.OpDiv {
 				if vals[1] == 0 {
-					c.ar.set(p, fFaulting)
+					e.set(fFaulting)
 				} else {
 					divIssuedClean = true
 				}
 			}
-			c.ar.set(p, fIssued|fDone)
-			c.ar.doneAt[p] = c.cycle + uint64(lat)
+			e.set(fIssued | fDone)
+			e.doneAt = c.cycle + uint64(lat)
 			c.emit(KindIssue, p, int64(lat))
 			issued++
 		}
@@ -1002,13 +1022,14 @@ func (c *CPU) issue() {
 func (c *CPU) blockedByOlderStore(i int, addr mem.Addr) bool {
 	for j := 0; j < i; j++ {
 		p := c.robHead + j
-		switch c.ar.inst[p].Op {
+		e := &c.rob[p]
+		switch e.inst.Op {
 		case isa.OpStore:
-			if !c.ar.is(p, fAddrResolved) || c.ar.addr[p].WordAlign() == addr.WordAlign() {
+			if !e.is(fAddrResolved) || e.addr.WordAlign() == addr.WordAlign() {
 				return true
 			}
 		case isa.OpFlush:
-			if !c.ar.is(p, fAddrResolved) || c.ar.addr[p].SameLine(addr) {
+			if !e.is(fAddrResolved) || e.addr.SameLine(addr) {
 				return true
 			}
 		default:
@@ -1024,16 +1045,16 @@ func (c *CPU) blockedByOlderStore(i int, addr mem.Addr) bool {
 // is judged at call time (done && doneAt ≤ now).
 func (c *CPU) operandsVia(lastWriter *[isa.NumRegs]int32, p int) ([2]uint64, bool) {
 	var vals [2]uint64
-	for k, r := range c.ar.inst[p].SrcRegs() {
+	for k, r := range c.rob[p].inst.SrcRegs() {
 		if r == isa.Zero {
 			continue
 		}
 		if lw := lastWriter[r]; lw != 0 {
-			q := int(lw) - 1
-			if !c.ar.is(q, fDone) || c.ar.doneAt[q] > c.cycle {
+			prod := &c.rob[int(lw)-1]
+			if !prod.is(fDone) || prod.doneAt > c.cycle {
 				return vals, false
 			}
-			vals[k] = c.ar.val[q]
+			vals[k] = prod.val
 			continue
 		}
 		vals[k] = c.regs[r]
@@ -1064,11 +1085,7 @@ func (c *CPU) fetch() {
 			}
 		}
 		p := c.pushSlot()
-		c.ar.reset(p)
-		c.ar.seq[p] = c.nextSeq
-		c.ar.idx[p] = idx
-		c.ar.inst[p] = inst
-		c.ar.fetchedAt[p] = c.cycle
+		c.rob[p] = entry{seq: c.nextSeq, idx: idx, inst: inst, fetchedAt: c.cycle}
 		c.nextSeq++
 		c.stats.Fetched++
 		c.met.fetched.Inc()
@@ -1084,7 +1101,7 @@ func (c *CPU) fetch() {
 		case inst.Op.IsBranch():
 			pred := c.pred.Predict(idx)
 			if pred.Taken {
-				c.ar.set(p, fPredTaken)
+				c.rob[p].set(fPredTaken)
 				c.fetchPC = inst.Target
 			} else {
 				c.fetchPC = idx + 1

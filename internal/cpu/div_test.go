@@ -90,7 +90,7 @@ func TestDivFaultTransientLoadRollsBack(t *testing.T) {
 	prog := isa.NewBuilder().
 		Const(1, 10).
 		Const(2, 0x5000).
-		Div(3, 1, 0). // faults
+		Div(3, 1, 0).  // faults
 		Load(4, 2, 0). // transient miss: installs a line
 		Halt().
 		MustBuild()

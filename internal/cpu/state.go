@@ -2,8 +2,6 @@ package cpu
 
 import (
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/memsys"
 	"repro/internal/noise"
 )
 
@@ -15,50 +13,11 @@ import (
 // by reference and deliberately not captured. Note the pre-existing
 // Snapshot() method returns cumulative Stats and is unrelated.
 
-// entry is the value-record form of one ROB entry. The live pipeline
-// keeps this state struct-of-arrays in the Arena (arena.go); the record
-// form exists only for State capture, where a stable per-entry value is
-// what Snapshot/Fork equality is defined over.
-type entry struct {
-	seq       uint64
-	idx       int // instruction index (simulated PC)
-	inst      isa.Inst
-	fetchedAt uint64
-
-	issued bool
-	done   bool
-	doneAt uint64
-	val    uint64
-
-	// srcVals are captured at issue for branch resolution and stores.
-	srcVals [2]uint64
-
-	// Branch state.
-	predTaken bool
-	resolved  bool
-
-	// Memory state.
-	addr          mem.Addr
-	addrResolved  bool
-	access        memsys.AccessResult
-	specAtIssue   bool
-	specEpoch     uint64
-	committedSpec bool
-	commitPenalty int
-	shadowed      bool // invisible-scheme load: issued without install
-	squashed      bool
-
-	// faulting marks a divide whose divisor was zero at issue; the trap
-	// fires when it reaches the head of the ROB.
-	faulting bool
-}
-
 // State is a frozen copy of the core's run state at one cycle.
 type State struct {
 	regs [isa.NumRegs]uint64
 	prog *isa.Program
-	// rob holds entry values in window order; restore re-materialises
-	// them into the arena.
+	// rob holds the live window's entries in window order.
 	rob           []entry
 	nextSeq       uint64
 	cycle         uint64
@@ -105,23 +64,18 @@ func (c *CPU) SaveState() *State {
 		runStartCycle:   c.runStartCycle,
 		runStartRetired: c.runStartRetired,
 	}
-	for i := range st.rob {
-		st.rob[i] = c.ar.load(c.robHead + i)
-	}
+	copy(st.rob, c.rob[c.robHead:c.robHead+c.robLen])
 	return st
 }
 
 // RestoreState rewinds the core to a state saved from the same core.
-// ROB entries are re-materialised into the front of the arena, so a
-// warm restore does not allocate. Observers are untouched: the tracer
+// ROB entries are copied to the front of the core's buffer, so a warm
+// restore does not allocate. Observers are untouched: the tracer
 // and flight recorder keep recording across the rewind (fork-safety
 // rules in docs/SNAPSHOTS.md).
 func (c *CPU) RestoreState(st *State) {
 	c.robHead = 0
-	c.robLen = len(st.rob)
-	for i := range st.rob {
-		c.ar.store(i, st.rob[i])
-	}
+	c.robLen = copy(c.rob, st.rob)
 	c.regs = st.regs
 	c.prog = st.prog
 	c.nextSeq = st.nextSeq

@@ -167,7 +167,7 @@ func (c *CPU) EnableFlightRecorder(n int) *FlightRecorder {
 // FlightRecorder returns the attached ring, or nil.
 func (c *CPU) FlightRecorder() *FlightRecorder { return c.flight }
 
-// emit records one pipeline event for arena entry p (p < 0 means no
+// emit records one pipeline event for ROB entry p (p < 0 means no
 // instruction is associated with the event).
 func (c *CPU) emit(kind Kind, p int, detail int64) {
 	if c.tracer == nil {
@@ -180,7 +180,8 @@ func (c *CPU) emit(kind Kind, p int, detail int64) {
 		s := c.flight.slot()
 		s.Cycle, s.Kind, s.Detail = c.cycle, kind, detail
 		if p >= 0 {
-			s.Seq, s.PC, s.Inst = c.ar.seq[p], c.ar.idx[p], c.ar.inst[p]
+			e := &c.rob[p]
+			s.Seq, s.PC, s.Inst = e.seq, e.idx, e.inst
 		} else {
 			s.Seq, s.PC, s.Inst = 0, 0, isa.Inst{}
 		}
@@ -188,9 +189,8 @@ func (c *CPU) emit(kind Kind, p int, detail int64) {
 	}
 	ev := TraceEvent{Cycle: c.cycle, Kind: kind, Detail: detail}
 	if p >= 0 {
-		ev.Seq = c.ar.seq[p]
-		ev.PC = c.ar.idx[p]
-		ev.Inst = c.ar.inst[p]
+		e := &c.rob[p]
+		ev.Seq, ev.PC, ev.Inst = e.seq, e.idx, e.inst
 	}
 	if c.flight != nil {
 		c.flight.Record(ev)

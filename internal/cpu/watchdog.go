@@ -79,7 +79,7 @@ func (c *CPU) PostMortem() PostMortem {
 		LastCleanupStall:     c.stats.LastCleanupStall,
 	}
 	for p := c.robHead; p < c.robHead+c.robLen; p++ {
-		if c.ar.inst[p].Op == isa.OpLoad && c.ar.is(p, fIssued) && !c.completedNow(p) {
+		if c.rob[p].inst.Op == isa.OpLoad && c.rob[p].is(fIssued) && !c.completedNow(p) {
 			pm.InflightLoads++
 		}
 	}

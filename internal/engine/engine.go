@@ -3,25 +3,15 @@
 // workers, saturating every core while keeping results bit-identical
 // to a sequential run (docs/ENGINE.md).
 //
-// The design has three load-bearing pieces:
+// The design has two load-bearing pieces:
 //
 //   - Sharded workers over an atomic work cursor. Each worker is a
-//     fixed identity (ID, telemetry registry, struct-of-arrays ROB
-//     arena) that claims trial indices from a shared atomic counter.
-//     Which worker executes which trial is schedule-dependent; the
-//     *result* of a trial never is, because every trial is a pure
-//     function of its index (fork trials restore a calibrated
-//     checkpoint; harness cells build their machine from the cell
-//     seed).
-//
-//   - Per-worker arenas. A worker owns one cpu.Arena — the
-//     struct-of-arrays backing store for ROB hot state (internal/cpu,
-//     arena.go) — that every machine the worker runs adopts. The arena
-//     is pure scratch between trials (all persistent state lives in
-//     checkpoints and machine snapshots), so sharing it across
-//     batches is safe as long as one worker runs one trial at a time,
-//     which the pool guarantees. Steady-state batches allocate
-//     nothing.
+//     fixed identity (ID, telemetry registry) that claims trial
+//     indices from a shared atomic counter. Which worker executes
+//     which trial is schedule-dependent; the *result* of a trial never
+//     is, because every trial is a pure function of its index (fork
+//     trials restore a calibrated checkpoint; harness cells build their
+//     machine from the cell seed).
 //
 //   - Per-worker telemetry absorbed by Drain. Trials write counters
 //     and histograms to their worker's private registry with no
@@ -36,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cpu"
 	"repro/internal/telemetry"
 )
 
@@ -48,9 +37,8 @@ type Config struct {
 }
 
 // Worker is one sharded trial executor: a stable identity holding the
-// per-worker telemetry registry and the struct-of-arrays ROB arena
-// that machines run over. Exactly one trial runs on a worker at a
-// time; everything reachable from a Worker is free of cross-worker
+// per-worker telemetry registry. Exactly one trial runs on a worker at
+// a time; everything reachable from a Worker is free of cross-worker
 // sharing.
 type Worker struct {
 	// ID is the worker's index in the pool, stable for the pool's
@@ -61,21 +49,15 @@ type Worker struct {
 	// so recording is synchronization-free.
 	Metrics *telemetry.Registry
 
-	arena *cpu.Arena
 	// drained is the snapshot watermark of the last Drain, so counters
 	// and histogram mass absorbed once are never absorbed again.
 	drained telemetry.Snapshot
 }
 
-// Arena returns the worker's struct-of-arrays ROB arena. Jobs hand it
-// to every machine the worker builds (cpu.CPU.AdoptArena) so all
-// trials on this worker share one hot-state footprint.
-func (w *Worker) Arena() *cpu.Arena { return w.arena }
-
 // Pool is a fixed set of workers executing batches. A Pool is reusable
-// across any number of Run calls; workers (and their arenas and
-// registries) persist, which is what makes repeated batches
-// allocation-free in the steady state.
+// across any number of Run calls; workers (and their registries)
+// persist, which is what makes repeated batches allocation-free in the
+// steady state.
 type Pool struct {
 	workers []*Worker
 	// drainMu serializes Drain, which may run from a live scrape while
@@ -94,7 +76,6 @@ func New(cfg Config) *Pool {
 		p.workers[i] = &Worker{
 			ID:      i,
 			Metrics: telemetry.NewRegistry(),
-			arena:   &cpu.Arena{},
 		}
 	}
 	return p

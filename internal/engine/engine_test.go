@@ -52,11 +52,10 @@ type replica struct {
 // forkRig runs batches of unXpec fork trials over a pool, the shape
 // every fork-trial caller of the engine has (bench/unxbench's
 // fork-trials workload follows the same recipe): each worker owns a
-// replica — unxpec.New, AdoptArena on the worker's arena, warmupRounds
-// rounds, Checkpoint — and trial i restores its worker's checkpoint
-// and runs rounds rounds against secrets[i]. Replicas built from
-// identical options are bit-identical, so trial i's result is a pure
-// function of secrets[i].
+// replica — unxpec.New, warmupRounds rounds, Checkpoint — and trial i
+// restores its worker's checkpoint and runs rounds rounds against
+// secrets[i]. Replicas built from identical options are bit-identical,
+// so trial i's result is a pure function of secrets[i].
 type forkRig struct {
 	pool   *Pool
 	rounds int
@@ -73,7 +72,6 @@ func newForkRig(tb testing.TB, workers, rounds int) *forkRig {
 	r := &forkRig{pool: New(Config{Workers: workers}), rounds: rounds}
 	for _, w := range r.pool.workers {
 		a := unxpec.MustNew(unxpec.Options{Seed: 1})
-		a.Core().AdoptArena(w.Arena())
 		// Warm-up runs with telemetry detached: it is per-replica
 		// plumbing, not trial signal.
 		for k := 0; k < warmupRounds; k++ {

@@ -26,7 +26,8 @@ func (b Band) Pass() bool { return b.Measured >= b.Lo && b.Measured <= b.Hi }
 
 // ReproductionReport reruns the evaluation and scores every headline
 // quantity against its acceptance band. quick reduces sample counts and
-// workload scale (≈20 s instead of minutes); the bands are identical.
+// workload scale (about a quarter of the full run time); the bands are
+// identical.
 func ReproductionReport(seed int64, quick bool) []Band {
 	return ReproductionReportWith(nil, seed, quick)
 }

@@ -367,32 +367,32 @@ func (g *Generator) LeakGadget() *isa.Program {
 	// --- victim phase: setup ---
 	b.Const(16, secretBase)
 	b.Const(17, probeBase)
-	b.Load(18, 16, 0)               // r18 = secret bit
-	b.Load(19, 17, 0)               // warm the secret-0 probe line
+	b.Load(18, 16, 0) // r18 = secret bit
+	b.Load(19, 17, 0) // warm the secret-0 probe line
 	b.Const(15, int64(g.cfg.ProbeStride))
-	b.Mul(19, 18, 15)               // r19 = secret * stride
-	b.Add(19, 17, 19)               // r19 = probe line address for secret
-	b.Load(1, 16, mem.LineSize)     // warm the condition line…
-	b.Flush(16, mem.LineSize)       // …then flush it so the branch resolves slowly
-	b.Fence()                       // drain everything before the window opens
-	b.RdTSC(20)                     // victim start
-	b.Load(1, 16, mem.LineSize)     // slow condition load (L1+L2 miss)
-	b.BranchNE(1, 0, "resolved")    // actually taken; predicted not-taken
+	b.Mul(19, 18, 15)            // r19 = secret * stride
+	b.Add(19, 17, 19)            // r19 = probe line address for secret
+	b.Load(1, 16, mem.LineSize)  // warm the condition line…
+	b.Flush(16, mem.LineSize)    // …then flush it so the branch resolves slowly
+	b.Fence()                    // drain everything before the window opens
+	b.RdTSC(20)                  // victim start
+	b.Load(1, 16, mem.LineSize)  // slow condition load (L1+L2 miss)
+	b.BranchNE(1, 0, "resolved") // actually taken; predicted not-taken
 	// --- wrong path: executes transiently until the squash ---
-	b.Load(2, 19, 0)                // secret-dependent transient load
+	b.Load(2, 19, 0) // secret-dependent transient load
 	b.Label("resolved")
 	// Fetch converges here on both paths, so this fence keeps the
 	// attacker phase below from issuing inside the victim's
 	// speculation window.
 	b.Fence()
-	b.RdTSC(21)                     // victim end: includes squash + rollback stall
-	b.Sub(22, 21, 20)               // r22 = victim cycles (observable a)
+	b.RdTSC(21)       // victim end: includes squash + rollback stall
+	b.Sub(22, 21, 20) // r22 = victim cycles (observable a)
 
 	// --- attacker phase: reload the secret-1 probe line ---
 	b.RdTSC(23)
 	b.Load(24, 17, int64(g.cfg.ProbeStride)) // probe secret-1 line
 	b.RdTSC(25)
-	b.Sub(26, 25, 23)               // r26 = probe cycles (observable b)
+	b.Sub(26, 25, 23) // r26 = probe cycles (observable b)
 	b.Halt()
 	return b.MustBuild()
 }

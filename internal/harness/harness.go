@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/engine"
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 	"repro/internal/teletrace"
 )
@@ -110,13 +109,6 @@ type Trial struct {
 	// snapshots it into the outcome and the campaign rollup.
 	Metrics *telemetry.Registry
 
-	// Arena is the executing engine worker's struct-of-arrays ROB
-	// arena. Observe hands it to any observed core (via AdoptArena), so
-	// every trial a worker runs reuses one hot-state footprint instead
-	// of allocating a fresh ROB per machine. Nil for trials run outside
-	// an engine pool.
-	Arena *cpu.Arena
-
 	// Span is the attempt's span (nil when the runner has no tracer).
 	// Cells may add events and child spans; Observe binds it onto the
 	// simulated core so phase events (fast-forward jumps, watchdog
@@ -131,55 +123,6 @@ type Trial struct {
 	// machine's post-mortem carries the attempt's final pipeline events
 	// instead of a pre-run blank.
 	armedPanic string
-
-	// inherited is the previous failed attempt's resume point (nil on
-	// attempt 1); resumeSnap is the one this attempt registered. The
-	// harness owns both and releases them when the cell terminates.
-	inherited   *machine.Snapshot
-	resumeSnap  *machine.Snapshot
-	resumeCycle uint64
-	sealed      bool
-}
-
-// SetResumePoint registers a whole-machine snapshot as the attempt's
-// resume point. Ownership transfers to the harness: if the attempt
-// fails with a retryable error, the next attempt receives it via
-// ResumePoint and can restore instead of rebuilding from scratch; the
-// cell's journal record notes the resume cycle. Registering again
-// replaces (and releases) the previous point.
-func (t *Trial) SetResumePoint(s *machine.Snapshot) {
-	t.mu.Lock()
-	if t.sealed { // attempt already timed out and was abandoned
-		t.mu.Unlock()
-		s.Release()
-		return
-	}
-	old := t.resumeSnap
-	t.resumeSnap = s
-	t.resumeCycle = s.Cycle()
-	t.mu.Unlock()
-	t.Span.Eventf("resume-point", "snapshot at cycle %d", s.Cycle())
-	if old != nil {
-		old.Release()
-	}
-}
-
-// ResumePoint returns the resume point registered by the previous
-// failed attempt, or nil on a first attempt (or when none was set).
-// The snapshot stays valid for the duration of this attempt; the
-// harness releases it.
-func (t *Trial) ResumePoint() *machine.Snapshot { return t.inherited }
-
-// takeResumePoint seals the trial and hands its registered resume
-// point to the harness. A SetResumePoint racing in from an abandoned
-// (timed-out) attempt goroutine after sealing is released on the spot.
-func (t *Trial) takeResumePoint() (*machine.Snapshot, uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sealed = true
-	s, cyc := t.resumeSnap, t.resumeCycle
-	t.resumeSnap = nil
-	return s, cyc
 }
 
 // firePanic detonates an armed panic injection; no-op when none is
@@ -208,13 +151,6 @@ type spanSetter interface {
 	SetSpan(s *teletrace.Span)
 }
 
-// arenaAdopter is the optional interface Observe uses to move an
-// observed core's ROB hot state into the engine worker's shared arena.
-// *cpu.CPU implements it.
-type arenaAdopter interface {
-	AdoptArena(ar *cpu.Arena)
-}
-
 // Observe registers the core under test so that a contained panic can
 // capture its post-mortem snapshot. Re-observing replaces the previous
 // subject (observe the active core of multi-phase trials).
@@ -228,9 +164,6 @@ func (t *Trial) Observe(p PostMortemer) {
 	}
 	if ss, ok := p.(spanSetter); ok {
 		ss.SetSpan(t.Span) // nil span = tracing off, still one branch on the core
-	}
-	if aa, ok := p.(arenaAdopter); ok && t.Arena != nil {
-		aa.AdoptArena(t.Arena)
 	}
 	t.mu.Lock()
 	t.pm = p
@@ -266,9 +199,6 @@ type Outcome struct {
 	Err      *TrialError     // non-nil iff the cell failed
 	Resumed  bool            // replayed from the journal
 	Skipped  bool            // never started (campaign interrupted)
-	// ResumeCycle is the machine cycle of the last snapshot resume
-	// point the cell registered (0 when it never did).
-	ResumeCycle uint64
 	// TraceID is the cell's trace (empty when the runner had no
 	// tracer).
 	TraceID string
@@ -397,10 +327,9 @@ type Runner struct {
 	executed int // newly executed cells, for StopAfter
 
 	// pool is the batched trial engine every Sweep executes on. Workers
-	// persist across sweeps, so their ROB arenas and telemetry
-	// registries are warm for the whole campaign. Sweeps on one Runner
-	// must not run concurrently with each other (worker arenas are
-	// exclusive to one trial at a time).
+	// persist across sweeps, so their telemetry registries are warm for
+	// the whole campaign. Sweeps on one Runner must not run concurrently
+	// with each other (a worker runs one trial at a time).
 	poolOnce sync.Once
 	pool     *engine.Pool
 
@@ -577,15 +506,12 @@ func (r *Runner) Sweep(name string, cells []Cell) (*Report, error) {
 }
 
 // runCell drives one cell through its attempt budget on engine worker
-// w. A resume point registered by one attempt is handed to the next
-// and released when the cell reaches a terminal outcome.
+// w.
 func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome {
 	start := time.Now() //simlint:wallclock per-cell elapsed is genuine wall time
 	maxA := r.cfg.maxAttempts()
 	var te *TrialError
 	var lastSnap *telemetry.Snapshot
-	var resume *machine.Snapshot
-	var resumeCycle uint64
 
 	// The cell span roots the cell's trace; every attempt is a child.
 	// The trace ID outlives the spans: it is stamped on the outcome,
@@ -598,11 +524,6 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 		traceID = tid.String()
 	}
 	defer cellSpan.End()
-	defer func() {
-		if resume != nil {
-			resume.Release()
-		}
-	}()
 	for attempt := 1; attempt <= maxA; attempt++ {
 		seed := c.Seed
 		if attempt > 1 {
@@ -614,11 +535,7 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 		if attempt > 1 {
 			span.Eventf("retry-seed", "seed perturbed %d -> %d", c.Seed, seed)
 		}
-		if resume != nil {
-			span.Eventf("resume", "inheriting snapshot from cycle %d", resumeCycle)
-		}
-		t := &Trial{Cell: id, Attempt: attempt, Seed: seed, inherited: resume, Span: span,
-			Arena: w.Arena()}
+		t := &Trial{Cell: id, Attempt: attempt, Seed: seed, Span: span}
 		if r.cfg.Metrics != nil {
 			t.Metrics = telemetry.NewRegistry()
 			if traceID != "" {
@@ -628,12 +545,6 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 		attemptStart := time.Now() //simlint:wallclock trial latency is genuine wall time
 		v, err := r.attempt(c, t, id)
 		attemptMS := float64(time.Since(attemptStart)) / float64(time.Millisecond) //simlint:wallclock trial latency is genuine wall time
-		if next, cyc := t.takeResumePoint(); next != nil {
-			if resume != nil {
-				resume.Release()
-			}
-			resume, resumeCycle = next, cyc
-		}
 		snap := r.rollupTrial(w, t, attempt, attemptMS, traceID)
 		if err == nil {
 			raw, merr := json.Marshal(v)
@@ -641,10 +552,9 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 				span.End()
 				o := Outcome{Index: index, Cell: id, Seed: c.Seed, Attempts: attempt,
 					Class: ClassOK, Value: raw,
-					ResumeCycle: resumeCycle,
-					TraceID:     traceID,
-					Elapsed:     time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
-					Metrics:     snap}
+					TraceID: traceID,
+					Elapsed: time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
+					Metrics: snap}
 				r.record(o)
 				r.prog.noteDone(o)
 				return o
@@ -665,10 +575,9 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 	cellSpan.SetErrorString(fmt.Sprintf("%s after %d attempts: %s", te.Class, te.Attempt, te.Msg))
 	o := Outcome{Index: index, Cell: id, Seed: c.Seed, Attempts: te.Attempt,
 		Class: te.Class, Err: te,
-		ResumeCycle: resumeCycle,
-		TraceID:     traceID,
-		Elapsed:     time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
-		Metrics:     lastSnap}
+		TraceID: traceID,
+		Elapsed: time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
+		Metrics: lastSnap}
 	r.record(o)
 	r.prog.noteDone(o)
 	return o

@@ -30,10 +30,6 @@ type Record struct {
 	// empty when tracing was off), linking the journal record to its
 	// span tree in the cmd/figures -trace-out file.
 	TraceID string `json:"trace_id,omitempty"`
-	// ResumeCycle is the machine cycle of the last snapshot resume
-	// point the cell registered (see Trial.SetResumePoint); 0 when the
-	// cell never checkpointed.
-	ResumeCycle uint64 `json:"resume_cycle,omitempty"`
 	// Metrics is the final attempt's telemetry snapshot (omitted when
 	// the campaign ran without a metrics registry).
 	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
@@ -46,16 +42,15 @@ const RecordKindCell = "cell"
 // RecordOf builds the journal record for a terminal outcome.
 func RecordOf(o Outcome) Record {
 	rec := Record{
-		Kind:        RecordKindCell,
-		Cell:        o.Cell,
-		Seed:        o.Seed,
-		Attempts:    o.Attempts,
-		Class:       o.Class,
-		Value:       o.Value,
-		Elapsed:     o.Elapsed.Milliseconds(),
-		TraceID:     o.TraceID,
-		ResumeCycle: o.ResumeCycle,
-		Metrics:     o.Metrics,
+		Kind:     RecordKindCell,
+		Cell:     o.Cell,
+		Seed:     o.Seed,
+		Attempts: o.Attempts,
+		Class:    o.Class,
+		Value:    o.Value,
+		Elapsed:  o.Elapsed.Milliseconds(),
+		TraceID:  o.TraceID,
+		Metrics:  o.Metrics,
 	}
 	if o.Err != nil {
 		rec.Error = o.Err.Msg
@@ -69,16 +64,15 @@ func RecordOf(o Outcome) Record {
 // the given position of the cell slice.
 func (rec Record) Outcome(index int) Outcome {
 	o := Outcome{
-		Index:       index,
-		Cell:        rec.Cell,
-		Seed:        rec.Seed,
-		Attempts:    rec.Attempts,
-		Class:       rec.Class,
-		Value:       rec.Value,
-		Resumed:     true,
-		TraceID:     rec.TraceID,
-		ResumeCycle: rec.ResumeCycle,
-		Metrics:     rec.Metrics,
+		Index:    index,
+		Cell:     rec.Cell,
+		Seed:     rec.Seed,
+		Attempts: rec.Attempts,
+		Class:    rec.Class,
+		Value:    rec.Value,
+		Resumed:  true,
+		TraceID:  rec.TraceID,
+		Metrics:  rec.Metrics,
 	}
 	if rec.Class != ClassOK {
 		o.Err = &TrialError{

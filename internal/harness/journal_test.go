@@ -179,3 +179,68 @@ func TestRunnerResumeSurvivesTornJournal(t *testing.T) {
 		t.Fatalf("resume pattern wrong: %+v", rep.Outcomes)
 	}
 }
+
+// TestResumeIgnoresLegacyResumeCycle pins journal compatibility: older
+// journals carry a "resume_cycle" field on cell records, which the
+// record type no longer has. Such a journal must still resume every
+// cell from its record, re-executing nothing, with each value
+// byte-identical to the uninterrupted run's.
+func TestResumeIgnoresLegacyResumeCycle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	cells := []Cell{
+		{ID: "a", Seed: 1, Run: func(t *Trial) (any, error) { return map[string]int64{"v": t.Seed * 3}, nil }},
+		{ID: "b", Seed: 2, Run: func(t *Trial) (any, error) { return map[string]int64{"v": t.Seed * 5}, nil }},
+	}
+	r1, err := New(Config{JournalPath: path, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := r1.Sweep("legacy", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.ReplaceAll(string(data), `{"kind":`, `{"resume_cycle":4096,"kind":`)
+	if strings.Count(legacy, `"resume_cycle":4096`) != len(cells) {
+		t.Fatalf("journal layout changed; cannot inject the legacy field:\n%s", data)
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ran := 0
+	for i := range cells {
+		orig := cells[i].Run
+		cells[i].Run = func(t *Trial) (any, error) { ran++; return orig(t) }
+	}
+	r2, err := New(Config{JournalPath: path, Resume: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	rep, err := r2.Sweep("legacy", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran != 0 {
+		t.Fatalf("re-executed %d cells, want every cell resumed from the journal", ran)
+	}
+	if ws := r2.JournalWarnings(); len(ws) != 0 {
+		t.Fatalf("journal warnings = %v, want none", ws)
+	}
+	for i, o := range rep.Outcomes {
+		if !o.Resumed || !o.OK() {
+			t.Fatalf("cell %s: resumed=%v class=%s, want a resumed OK outcome", o.Cell, o.Resumed, o.Class)
+		}
+		if string(o.Value) != string(ref.Outcomes[i].Value) {
+			t.Errorf("cell %s: resumed value %s, want %s", o.Cell, o.Value, ref.Outcomes[i].Value)
+		}
+	}
+}

@@ -103,6 +103,9 @@ func parseInst(line string) (Inst, string, error) {
 	fields := strings.FieldsFunc(line, func(r rune) bool {
 		return r == ' ' || r == '\t' || r == ','
 	})
+	if len(fields) == 0 {
+		return Inst{}, "", fmt.Errorf("no mnemonic in %q", line)
+	}
 	mnemonic := fields[0]
 	args := fields[1:]
 

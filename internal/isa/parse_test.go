@@ -100,15 +100,15 @@ func TestParseLabelsAndComments(t *testing.T) {
 // TestParseRejectsGarbage covers the error paths.
 func TestParseRejectsGarbage(t *testing.T) {
 	cases := []string{
-		"",                         // empty program
-		"frobnicate r1, r2",        // unknown mnemonic
-		"const r1",                 // missing operand
-		"const r99, 5\nhalt",       // register out of range
-		"load r1, r2\nhalt",        // not a memory operand
+		"",                          // empty program
+		"frobnicate r1, r2",         // unknown mnemonic
+		"const r1",                  // missing operand
+		"const r99, 5\nhalt",        // register out of range
+		"load r1, r2\nhalt",         // not a memory operand
 		"blt r1, r2, nowhere\nhalt", // undefined label
-		"blt r1, r2, @99\nhalt",    // target out of range
-		"top:\ntop:\nhalt",         // duplicate label
-		"const rX, 5\nhalt",        // non-numeric register
+		"blt r1, r2, @99\nhalt",     // target out of range
+		"top:\ntop:\nhalt",          // duplicate label
+		"const rX, 5\nhalt",         // non-numeric register
 	}
 	for _, src := range cases {
 		if _, err := ParseProgram(src); err == nil {

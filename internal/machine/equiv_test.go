@@ -119,7 +119,7 @@ func regionSum(g *fuzz.Generator, m *mem.Memory) uint64 {
 // TestWarmForkAllocsBounded proves a warm restore-and-rerun trial
 // allocates only COW bookkeeping, not fresh machine state: after one
 // warmup lap the per-trial allocation count must be (near) zero — the
-// freelist recycles dirtied pages and the ROB arena recycles entries.
+// freelist recycles dirtied pages and the core reuses its ROB buffer.
 func TestWarmForkAllocsBounded(t *testing.T) {
 	g := fuzz.MustNew(fuzz.DefaultConfig())
 	core, _ := buildMachine(t, 5)

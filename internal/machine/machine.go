@@ -98,8 +98,9 @@ func (s State) Snapshot() (*Snapshot, error) {
 func (s State) Fork() (*Snapshot, error) { return s.Snapshot() }
 
 // Restore rewinds the machine to snap. The machine must be the one the
-// snapshot was taken from (same wiring); backing arrays and ROB arenas
-// are reused, so a warm restore allocates only COW page bookkeeping.
+// snapshot was taken from (same wiring); backing arrays and the ROB
+// buffer are reused, so a warm restore allocates only COW page
+// bookkeeping.
 func (s State) Restore(snap *Snapshot) error {
 	core := s.core
 	core.Hierarchy().Memory().Restore(snap.mem)

@@ -65,9 +65,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}{
 		{-5, 0},
 		{0, 0},
-		{10, 0},  // exactly on the first bound → first bucket
+		{10, 0}, // exactly on the first bound → first bucket
 		{10.0000001, 1},
-		{20, 1},  // exactly on the second bound → second bucket
+		{20, 1}, // exactly on the second bound → second bucket
 		{29.999, 2},
 		{30, 2},
 		{30.001, 3}, // above the last bound → overflow

@@ -14,7 +14,7 @@ set -euo pipefail
 
 echo "== differential equivalence + COW + integration suites (-race) =="
 go test -race -count=1 \
-    -run 'Snapshot|Fork|COW|Checkpoint|ResumePoint|SaveRestore' \
+    -run 'Snapshot|Fork|COW|Checkpoint|SaveRestore' \
     ./internal/machine/ ./internal/mem/ ./internal/multicore/ \
     ./internal/unxpec/ ./internal/harness/ ./internal/fuzz/
 
