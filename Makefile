@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test lint lint-smoke bench figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke trace-smoke no-test-binaries regen-results clean
+.PHONY: all test lint lint-smoke bench figures report attack examples fuzz fuzz-selftest absint-smoke engine-smoke harness-smoke snapshot-smoke telemetry-smoke no-test-binaries regen-results clean
 
 all: test
 
@@ -90,12 +90,6 @@ snapshot-smoke:
 # all validated by scripts/telemetrycheck.
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh
-
-# Offline tracing check (docs/OBSERVABILITY.md, "Tracing"): a figures
-# sweep's worst-trial exemplar must resolve, from disk artefacts alone,
-# to a harness/cell -> harness/attempt span tree.
-trace-smoke:
-	./scripts/trace_smoke.sh
 
 # Hygiene gate: no compiled Go test binaries (or any native
 # executable) committed to the tree.

@@ -16,7 +16,12 @@
 //	        [-bits N] [-scale N] [-plot]
 //	        [-jobs N] [-retries N] [-trial-timeout D]
 //	        [-journal FILE] [-resume] [-stop-after N] [-inject SPEC]
-//	        [-metrics FILE] [-debug-addr ADDR] [-trace-out FILE]
+//	        [-metrics FILE] [-debug-addr ADDR]
+//
+// With -metrics, the rollup's harness_trial_latency_ms exemplar names
+// the slowest cell; with -journal, that cell's record (seed, attempts,
+// class, elapsed time, telemetry snapshot) is the line whose "cell"
+// key matches.
 //
 // Exit codes follow the harness taxonomy: 0 ok, 1 infrastructure,
 // 2 usage, 3 timeout gaps, 4 panic gaps, 5 other gaps, 6 interrupted
@@ -24,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +39,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/plot"
 	"repro/internal/telemetry"
-	"repro/internal/teletrace"
 )
 
 func main() {
@@ -57,7 +60,6 @@ func main() {
 		inject    = flag.String("inject", "", "fault injections: kind:glob[:attempts],... (kinds: panic, hang)")
 		metrics   = flag.String("metrics", "", "write the campaign telemetry rollup to this JSON file")
 		debugAddr = flag.String("debug-addr", "", "serve live progress/metrics/pprof on this address (e.g. 127.0.0.1:8070)")
-		traceOut  = flag.String("trace-out", "", "write collected trace spans to this JSON file (render with `trace -spans`)")
 	)
 	flag.Parse()
 
@@ -70,14 +72,6 @@ func main() {
 	if *metrics != "" || *debugAddr != "" {
 		registry = telemetry.NewRegistry()
 	}
-	var (
-		tracer     *teletrace.Tracer
-		traceStore *teletrace.Store
-	)
-	if *traceOut != "" {
-		traceStore = teletrace.NewStore(0)
-		tracer = teletrace.New(teletrace.Config{Service: "figures", Store: traceStore})
-	}
 	campaignStart := time.Now() //simlint:wallclock campaign throughput is genuine wall time
 	runner, err := harness.New(harness.Config{
 		Workers:      *jobs,
@@ -88,7 +82,6 @@ func main() {
 		StopAfter:    *stopAfter,
 		Injections:   injs,
 		Metrics:      registry,
-		Tracer:       tracer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -387,14 +380,6 @@ func main() {
 			fmt.Printf("  wrote %s (campaign telemetry rollup)\n", *metrics)
 		}
 	}
-	if *traceOut != "" {
-		if err := writeSpans(*traceOut, traceStore); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			saveErr = true
-		} else {
-			fmt.Printf("  wrote %s (trace spans; render with `trace -spans %s`)\n", *traceOut, *traceOut)
-		}
-	}
 	// Surface torn/corrupt journal lines survived during -resume: the
 	// affected cells were re-executed, but the operator should know the
 	// journal took damage (typically a crash mid-append).
@@ -406,16 +391,6 @@ func main() {
 		infraErr = true
 	}
 	os.Exit(campaignExit(reports, infraErr, saveErr))
-}
-
-// writeSpans dumps the collected trace spans as an indented JSON array,
-// the format ReadSpans (and so `trace -spans`) consumes.
-func writeSpans(path string, st *teletrace.Store) error {
-	buf, err := json.MarshalIndent(st.Spans(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // writeMetrics dumps the campaign registry rollup as indented JSON.

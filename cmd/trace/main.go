@@ -6,13 +6,9 @@
 // open the file in Perfetto (ui.perfetto.dev) or chrome://tracing to
 // scrub through the speculation window visually.
 //
-// With -spans FILE the command instead renders a span file (the JSON
-// array written by `figures -trace-out`) as an indented causal tree.
-//
 // Usage:
 //
 //	trace [-secret 0|1] [-evict] [-loads N] [-timeline] [-chrome FILE]
-//	trace -spans FILE [-span-trace ID]
 package main
 
 import (
@@ -21,30 +17,19 @@ import (
 	"os"
 
 	"repro/internal/cpu"
-	"repro/internal/teletrace"
 	"repro/internal/trace"
 	"repro/internal/unxpec"
 )
 
 func main() {
 	var (
-		secret    = flag.Int("secret", 1, "secret bit to transmit (0 or 1)")
-		useEvict  = flag.Bool("evict", false, "use eviction sets")
-		loads     = flag.Int("loads", 1, "transient loads in the branch")
-		timeline  = flag.Bool("timeline", true, "render the per-instruction timeline")
-		chrome    = flag.String("chrome", "", "write the round as Chrome trace-event JSON (Perfetto / chrome://tracing)")
-		spansFile = flag.String("spans", "", "render a span file (figures -trace-out) as a causal tree instead of running a round")
-		spanTrace = flag.String("span-trace", "", "with -spans: only render this trace ID")
+		secret   = flag.Int("secret", 1, "secret bit to transmit (0 or 1)")
+		useEvict = flag.Bool("evict", false, "use eviction sets")
+		loads    = flag.Int("loads", 1, "transient loads in the branch")
+		timeline = flag.Bool("timeline", true, "render the per-instruction timeline")
+		chrome   = flag.String("chrome", "", "write the round as Chrome trace-event JSON (Perfetto / chrome://tracing)")
 	)
 	flag.Parse()
-
-	if *spansFile != "" {
-		if err := renderSpans(*spansFile, *spanTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	attack, err := unxpec.New(unxpec.Options{
 		Seed:            1,
@@ -59,7 +44,7 @@ func main() {
 	// Warm up: one untraced round trains the predictor and caches.
 	attack.MeasureOnce(*secret)
 
-	buf := trace.NewBuffer(0)
+	buf := trace.NewBuffer()
 	attack.Core().SetTracer(buf)
 	lat := attack.MeasureOnce(*secret)
 	attack.Core().SetTracer(nil)
@@ -69,7 +54,7 @@ func main() {
 		*secret, lat, res, clean)
 
 	fmt.Println("pipeline events of the measurement round (squash & cleanup):")
-	sel := trace.NewBuffer(0)
+	sel := trace.NewBuffer()
 	sel.KindFilter = map[cpu.Kind]bool{
 		cpu.KindSquash: true, cpu.KindCleanup: true, cpu.KindResolve: true,
 	}
@@ -102,37 +87,6 @@ func main() {
 	}
 }
 
-// renderSpans reads a span file and writes its causal trees to
-// stdout, optionally filtered to one trace ID.
-func renderSpans(path, traceID string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	spans, err := teletrace.ReadSpans(f)
-	if err != nil {
-		return err
-	}
-	if traceID != "" {
-		id, err := teletrace.ParseTraceID(traceID)
-		if err != nil {
-			return err
-		}
-		kept := spans[:0]
-		for _, d := range spans {
-			if d.Trace == id {
-				kept = append(kept, d)
-			}
-		}
-		spans = kept
-	}
-	if len(spans) == 0 {
-		return fmt.Errorf("%s: no matching spans", path)
-	}
-	return teletrace.WriteTree(os.Stdout, spans)
-}
-
 // tail renders the timeline of the final (measurement) program only by
 // re-filtering events after the last big fetch-PC reset.
 func tail(buf *trace.Buffer) string {
@@ -144,7 +98,7 @@ func tail(buf *trace.Buffer) string {
 			start = i
 		}
 	}
-	out := trace.NewBuffer(0)
+	out := trace.NewBuffer()
 	for _, ev := range evs[start:] {
 		out.Event(ev)
 	}

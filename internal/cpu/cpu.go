@@ -26,7 +26,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/noise"
-	"repro/internal/teletrace"
 	"repro/internal/undo"
 )
 
@@ -214,7 +213,6 @@ type CPU struct {
 	tracer Tracer
 	flight *FlightRecorder
 	met    coreMetrics
-	span   *teletrace.Span
 	stats  Stats
 
 	// Per-run bookkeeping for Step-based execution.
@@ -336,9 +334,6 @@ func (c *CPU) Step() (done bool) {
 		c.stats.TimedOut = true
 		c.halted = true
 		c.met.watchdog.Inc()
-		if c.span != nil {
-			c.span.Eventf("watchdog", "run exhausted MaxCycles=%d at cycle %d", c.cfg.MaxCycles, c.cycle)
-		}
 		return true
 	}
 	c.progressed = false
@@ -369,9 +364,6 @@ func (c *CPU) Step() (done bool) {
 			c.stats.FastForwards++
 			c.met.skippedCycles.Add(d - 1)
 			c.met.fastForwards.Inc()
-			if c.span != nil && d-1 >= spanJumpEventThreshold {
-				c.span.Eventf("fast-forward", "skipped %d idle cycles to cycle %d", d-1, w)
-			}
 		}
 		c.met.cycles.Add(w - c.cycle)
 		c.hier.TickMSHR(w - 1)
@@ -472,9 +464,6 @@ func (c *CPU) Advance(n uint64) {
 	c.stats.FastForwards++
 	c.met.skippedCycles.Add(n)
 	c.met.fastForwards.Inc()
-	if c.span != nil && n >= spanJumpEventThreshold {
-		c.span.Eventf("fast-forward", "advanced %d idle cycles to cycle %d", n, c.cycle+n)
-	}
 	c.met.cycles.Add(n)
 	c.hier.TickMSHR(c.cycle + n - 1)
 	c.cycle += n

@@ -155,8 +155,8 @@ func RenderMetricsTable(w io.Writer, s telemetry.Snapshot) {
 			ex := ""
 			if h.Exemplar != nil {
 				// The exemplar links the histogram's worst observation
-				// to its trace (render it with `trace -spans`).
-				ex = fmt.Sprintf(" worst=%.0f@%s", h.Exemplar.Value, h.Exemplar.TraceID)
+				// to its cell's journal record.
+				ex = fmt.Sprintf(" worst=%.0f@%s", h.Exemplar.Value, h.Exemplar.Cell)
 			}
 			fmt.Fprintf(w, "| %s | n=%d mean=%.1f mode≤%.0f%s | %s |\n",
 				name, h.Count, h.Mean(), h.Mode(), ex, s.Help[name])

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
-	"repro/internal/teletrace"
 )
 
 // Config parameterizes a Runner. The zero value is a sensible default:
@@ -48,15 +47,11 @@ type Config struct {
 	// Metrics, when non-nil, is the campaign registry: every trial gets
 	// a fresh per-trial registry (Trial.Metrics), whose snapshot is
 	// attached to the outcome, journaled, and absorbed into this
-	// registry. Nil disables per-trial telemetry (Trial.Metrics is nil,
-	// which instrumented components treat as detached).
+	// registry. The campaign's harness_trial_latency_ms exemplar names
+	// the slowest cell, a journal key. Nil disables per-trial telemetry
+	// (Trial.Metrics is nil, which instrumented components treat as
+	// detached).
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, wraps every cell and attempt in teletrace
-	// spans: a root cell span with one attempt span per try,
-	// retry/backoff/resume events, and the per-trial registry armed so
-	// histogram exemplars carry the trace ID. Nil disables tracing at a
-	// one-branch cost per emit site.
-	Tracer *teletrace.Tracer
 }
 
 func (c Config) maxAttempts() int {
@@ -109,12 +104,6 @@ type Trial struct {
 	// snapshots it into the outcome and the campaign rollup.
 	Metrics *telemetry.Registry
 
-	// Span is the attempt's span (nil when the runner has no tracer).
-	// Cells may add events and child spans; Observe binds it onto the
-	// simulated core so phase events (fast-forward jumps, watchdog
-	// trips) land on it.
-	Span *teletrace.Span
-
 	mu sync.Mutex
 	pm PostMortemer
 
@@ -143,14 +132,6 @@ type flightEnabler interface {
 	EnableFlightRecorder(n int) *cpu.FlightRecorder
 }
 
-// spanSetter is the optional interface Observe uses to bind the
-// attempt's span onto the core so simulator phase events (fast-forward
-// jumps, watchdog escalation) land on the trace. *cpu.CPU implements
-// it.
-type spanSetter interface {
-	SetSpan(s *teletrace.Span)
-}
-
 // Observe registers the core under test so that a contained panic can
 // capture its post-mortem snapshot. Re-observing replaces the previous
 // subject (observe the active core of multi-phase trials).
@@ -161,9 +142,6 @@ func (t *Trial) Observe(p PostMortemer) {
 	// per event, cheap enough to leave on for every trial.
 	if fe, ok := p.(flightEnabler); ok {
 		fe.EnableFlightRecorder(0)
-	}
-	if ss, ok := p.(spanSetter); ok {
-		ss.SetSpan(t.Span) // nil span = tracing off, still one branch on the core
 	}
 	t.mu.Lock()
 	t.pm = p
@@ -199,10 +177,7 @@ type Outcome struct {
 	Err      *TrialError     // non-nil iff the cell failed
 	Resumed  bool            // replayed from the journal
 	Skipped  bool            // never started (campaign interrupted)
-	// TraceID is the cell's trace (empty when the runner had no
-	// tracer).
-	TraceID string
-	Elapsed time.Duration
+	Elapsed  time.Duration
 	// Metrics is the final attempt's telemetry snapshot (nil when the
 	// campaign runs without a Config.Metrics registry).
 	Metrics *telemetry.Snapshot
@@ -512,47 +487,24 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 	maxA := r.cfg.maxAttempts()
 	var te *TrialError
 	var lastSnap *telemetry.Snapshot
-
-	// The cell span roots the cell's trace; every attempt is a child.
-	// The trace ID outlives the spans: it is stamped on the outcome,
-	// the journal record and the per-trial registry's exemplars.
-	cellSpan := r.cfg.Tracer.StartRoot("harness/cell")
-	cellSpan.SetAttr("cell", id)
-	cellSpan.SetAttr("seed", fmt.Sprintf("%d", c.Seed))
-	traceID := ""
-	if tid := cellSpan.TraceID(); tid != 0 {
-		traceID = tid.String()
-	}
-	defer cellSpan.End()
 	for attempt := 1; attempt <= maxA; attempt++ {
 		seed := c.Seed
 		if attempt > 1 {
 			seed = perturbSeed(c.Seed, attempt)
 		}
-		span := cellSpan.StartChild("harness/attempt")
-		span.SetAttr("attempt", fmt.Sprintf("%d", attempt))
-		span.SetAttr("seed", fmt.Sprintf("%d", seed))
-		if attempt > 1 {
-			span.Eventf("retry-seed", "seed perturbed %d -> %d", c.Seed, seed)
-		}
-		t := &Trial{Cell: id, Attempt: attempt, Seed: seed, Span: span}
+		t := &Trial{Cell: id, Attempt: attempt, Seed: seed}
 		if r.cfg.Metrics != nil {
 			t.Metrics = telemetry.NewRegistry()
-			if traceID != "" {
-				t.Metrics.SetTraceContext(traceID)
-			}
 		}
 		attemptStart := time.Now() //simlint:wallclock trial latency is genuine wall time
 		v, err := r.attempt(c, t, id)
 		attemptMS := float64(time.Since(attemptStart)) / float64(time.Millisecond) //simlint:wallclock trial latency is genuine wall time
-		snap := r.rollupTrial(w, t, attempt, attemptMS, traceID)
+		snap := r.rollupTrial(w, t, attempt, attemptMS)
 		if err == nil {
 			raw, merr := json.Marshal(v)
 			if merr == nil {
-				span.End()
 				o := Outcome{Index: index, Cell: id, Seed: c.Seed, Attempts: attempt,
 					Class: ClassOK, Value: raw,
-					TraceID: traceID,
 					Elapsed: time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
 					Metrics: snap}
 				r.record(o)
@@ -562,20 +514,14 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 			err = fmt.Errorf("harness: marshaling cell value: %w", merr)
 		}
 		te = intoTrialError(err, t)
-		span.SetErrorString(fmt.Sprintf("%s: %s", te.Class, te.Msg))
-		span.End()
 		lastSnap = snap
 		if !te.Class.Retryable() || attempt == maxA {
 			break
 		}
-		d := backoff(r.cfg, c.Seed, attempt)
-		cellSpan.Eventf("backoff", "%v before attempt %d (%s)", d, attempt+1, te.Class)
-		time.Sleep(d)
+		time.Sleep(backoff(r.cfg, c.Seed, attempt))
 	}
-	cellSpan.SetErrorString(fmt.Sprintf("%s after %d attempts: %s", te.Class, te.Attempt, te.Msg))
 	o := Outcome{Index: index, Cell: id, Seed: c.Seed, Attempts: te.Attempt,
 		Class: te.Class, Err: te,
-		TraceID: traceID,
 		Elapsed: time.Since(start), //simlint:wallclock per-cell elapsed is genuine wall time
 		Metrics: lastSnap}
 	r.record(o)
@@ -586,14 +532,14 @@ func (r *Runner) runCell(w *engine.Worker, id string, index int, c Cell) Outcome
 // rollupTrial snapshots a trial's registry, absorbs it into the
 // executing worker's registry, and stamps the harness's own trial
 // counters plus the trial-latency histogram (exemplar-linked to the
-// cell's trace, so the slowest bucket on /metrics names the trace to
+// cell, so the slowest bucket on /metrics names the journal record to
 // open). The worker registry is private to the trial, so all of this
 // is synchronization-free; the worker registries reach the campaign
 // registry through Pool.Drain — at the end of each Sweep, and on every
 // live /metrics scrape in between. The snapshot reflects the
 // work the attempt actually did, even when the attempt failed —
 // partial work is exactly what a post-mortem wants.
-func (r *Runner) rollupTrial(w *engine.Worker, t *Trial, attempt int, ms float64, traceID string) *telemetry.Snapshot {
+func (r *Runner) rollupTrial(w *engine.Worker, t *Trial, attempt int, ms float64) *telemetry.Snapshot {
 	if r.cfg.Metrics == nil {
 		return nil
 	}
@@ -603,7 +549,7 @@ func (r *Runner) rollupTrial(w *engine.Worker, t *Trial, attempt int, ms float64
 		reg.Counter("harness_retries_total", "attempts beyond the first").Inc()
 	}
 	reg.Histogram("harness_trial_latency_ms", "wall-clock latency of one trial attempt",
-		telemetry.TrialLatencyBuckets()).ObserveExemplar(ms, traceID)
+		telemetry.TrialLatencyBuckets()).ObserveExemplar(ms, t.Cell)
 	if t.Metrics == nil {
 		return nil
 	}

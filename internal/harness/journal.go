@@ -26,10 +26,6 @@ type Record struct {
 	Stack    string          `json:"stack,omitempty"`
 	Post     *cpu.PostMortem `json:"post,omitempty"`
 	Elapsed  int64           `json:"elapsed_ms"`
-	// TraceID is the trace of the cell's final attempt (teletrace;
-	// empty when tracing was off), linking the journal record to its
-	// span tree in the cmd/figures -trace-out file.
-	TraceID string `json:"trace_id,omitempty"`
 	// Metrics is the final attempt's telemetry snapshot (omitted when
 	// the campaign ran without a metrics registry).
 	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
@@ -49,7 +45,6 @@ func RecordOf(o Outcome) Record {
 		Class:    o.Class,
 		Value:    o.Value,
 		Elapsed:  o.Elapsed.Milliseconds(),
-		TraceID:  o.TraceID,
 		Metrics:  o.Metrics,
 	}
 	if o.Err != nil {
@@ -71,7 +66,6 @@ func (rec Record) Outcome(index int) Outcome {
 		Class:    rec.Class,
 		Value:    rec.Value,
 		Resumed:  true,
-		TraceID:  rec.TraceID,
 		Metrics:  rec.Metrics,
 	}
 	if rec.Class != ClassOK {

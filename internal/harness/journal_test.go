@@ -180,16 +180,18 @@ func TestRunnerResumeSurvivesTornJournal(t *testing.T) {
 	}
 }
 
-// TestResumeIgnoresLegacyResumeCycle pins journal compatibility: older
-// journals carry a "resume_cycle" field on cell records, which the
-// record type no longer has. Such a journal must still resume every
-// cell from its record, re-executing nothing, with each value
+// TestResumeIgnoresLegacyFields pins journal compatibility: older
+// journals carry fields on cell records that the record type no longer
+// has — "resume_cycle", and the "trace_id" of retired span tracing.
+// Such a journal must still resume every cell from its record,
+// re-executing nothing and warning about nothing, with each value
 // byte-identical to the uninterrupted run's.
-func TestResumeIgnoresLegacyResumeCycle(t *testing.T) {
+func TestResumeIgnoresLegacyFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	cells := []Cell{
 		{ID: "a", Seed: 1, Run: func(t *Trial) (any, error) { return map[string]int64{"v": t.Seed * 3}, nil }},
 		{ID: "b", Seed: 2, Run: func(t *Trial) (any, error) { return map[string]int64{"v": t.Seed * 5}, nil }},
+		{ID: "c", Seed: 3, Run: func(t *Trial) (any, error) { return map[string]int64{"v": t.Seed * 7}, nil }},
 	}
 	r1, err := New(Config{JournalPath: path, Workers: 1})
 	if err != nil {
@@ -207,11 +209,27 @@ func TestResumeIgnoresLegacyResumeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := strings.ReplaceAll(string(data), `{"kind":`, `{"resume_cycle":4096,"kind":`)
-	if strings.Count(legacy, `"resume_cycle":4096`) != len(cells) {
-		t.Fatalf("journal layout changed; cannot inject the legacy field:\n%s", data)
+	// One legacy shape per line: resume_cycle alone, trace_id alone,
+	// and both together.
+	legacyFields := []string{
+		`"resume_cycle":4096,`,
+		`"trace_id":"00000000000000aa",`,
+		`"resume_cycle":4096,"trace_id":"00000000000000aa",`,
 	}
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	lines := strings.SplitAfter(string(data), "\n")
+	var legacy strings.Builder
+	injected := 0
+	for _, line := range lines {
+		if injected < len(legacyFields) && strings.HasPrefix(line, `{"kind":`) {
+			line = "{" + legacyFields[injected] + line[1:]
+			injected++
+		}
+		legacy.WriteString(line)
+	}
+	if injected != len(cells) {
+		t.Fatalf("journal layout changed; cannot inject the legacy fields:\n%s", data)
+	}
+	if err := os.WriteFile(path, []byte(legacy.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -132,6 +132,41 @@ func TestJournalCarriesMetricsSnapshot(t *testing.T) {
 	}
 }
 
+// TestTrialLatencyExemplarNamesJournaledCell pins the outlier walk:
+// the campaign's harness_trial_latency_ms exemplar names the slowest
+// cell, and that name is a key of the journal ReadRecords returns.
+func TestTrialLatencyExemplarNamesJournaledCell(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	reg := telemetry.NewRegistry()
+	r := mustRunner(t, Config{Workers: 2, JournalPath: path, Metrics: reg})
+	cells := okCells(4)
+	cells = append(cells, Cell{
+		ID:   "slow",
+		Seed: 9,
+		Run: func(tr *Trial) (any, error) {
+			time.Sleep(50 * time.Millisecond)
+			return val{ID: tr.Cell}, nil
+		},
+	})
+	if _, err := r.Sweep("ex", cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ex := reg.Snapshot().Histograms["harness_trial_latency_ms"].Exemplar
+	if ex == nil || ex.Cell != "ex/slow" || ex.Value < 50 {
+		t.Fatalf("trial-latency exemplar = %+v, want the slow cell ex/slow at >= 50 ms", ex)
+	}
+	recs, _, err := ReadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := recs[ex.Cell]; !ok || rec.Class != ClassOK {
+		t.Fatalf("exemplar cell %s has no ok journal record: %+v", ex.Cell, rec)
+	}
+}
+
 func TestProgressCountsAndETA(t *testing.T) {
 	r := mustRunner(t, Config{Workers: 2})
 	if p := r.Progress(); p.Done != 0 || p.ETAMS != -1 {

@@ -63,12 +63,12 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 			}
 			// Exemplars ride as comment lines (the 0.0.4 text format has
 			// no native exemplar syntax; scrapers skip comments, and
-			// scripts/telemetrycheck validates the shape). The trace ID
-			// links the bucket's worst observation to its span tree in
-			// the cmd/figures -trace-out file.
+			// scripts/telemetrycheck validates the shape). The cell ID
+			// links the bucket's worst observation to its harness
+			// journal record.
 			if ex := h.Exemplar; ex != nil {
-				if _, err := fmt.Fprintf(w, "# EXEMPLAR %s trace_id=%s value=%s\n",
-					name, ex.TraceID, formatFloat(ex.Value)); err != nil {
+				if _, err := fmt.Fprintf(w, "# EXEMPLAR %s cell=%s value=%s\n",
+					name, ex.Cell, formatFloat(ex.Value)); err != nil {
 					return err
 				}
 			}

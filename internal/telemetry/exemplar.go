@@ -2,65 +2,55 @@ package telemetry
 
 import "sync"
 
-// Exemplar links a histogram to the trace responsible for its worst
+// Exemplar links a histogram to the cell responsible for its worst
 // (largest) observation: the bridge from an outlier bucket on /metrics
-// to the span tree that produced it (docs/OBSERVABILITY.md). Worst-of
-// is the right policy for this repository's histograms — trial
-// latency, rollback stall, round latency — where the question an
-// exemplar answers is always "show me the slowest one".
+// to the journal record that produced it (docs/OBSERVABILITY.md).
+// Cell is a harness journal key. Worst-of is the right policy for this
+// repository's histograms — trial latency, rollback stall, round
+// latency — where the question an exemplar answers is always "show me
+// the slowest one".
 type Exemplar struct {
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
+	Value float64 `json:"value"`
+	Cell  string  `json:"cell"`
 }
 
-// exemplarCell is the per-histogram exemplar accumulator. It only
-// exists once exemplars are armed (Registry.SetTraceContext) or an
-// explicit ObserveExemplar/absorb arrives, so an untraced histogram's
-// hot path pays a single nil pointer load.
-type exemplarCell struct {
-	mu sync.Mutex
-	// armedTrace is stamped on plain Observe wins; explicit offers
-	// carry their own trace.
-	armedTrace string
-	has        bool
-	value      float64
-	trace      string
+// exemplarSlot is the per-histogram exemplar accumulator. It only
+// exists once an ObserveExemplar or an absorbed exemplar arrives; a
+// plain Observe never touches it.
+type exemplarSlot struct {
+	mu    sync.Mutex
+	has   bool
+	value float64
+	cell  string
 }
 
 // offer records v as the exemplar when it beats the current worst.
-// An empty trace falls back to the armed trace context; an observation
-// with no trace at all is never recorded (an exemplar that links
-// nowhere must not shadow one that does).
-func (e *exemplarCell) offer(v float64, trace string) {
+func (e *exemplarSlot) offer(v float64, cell string) {
 	e.mu.Lock()
-	if trace == "" {
-		trace = e.armedTrace
-	}
-	if trace != "" && (!e.has || v > e.value) {
-		e.has, e.value, e.trace = true, v, trace
+	if !e.has || v > e.value {
+		e.has, e.value, e.cell = true, v, cell
 	}
 	e.mu.Unlock()
 }
 
 // snapshot returns the current exemplar, or nil when none was
-// recorded (or it carries no trace — an exemplar without a trace ID
-// links nowhere).
-func (e *exemplarCell) snapshot() *Exemplar {
+// recorded.
+func (e *exemplarSlot) snapshot() *Exemplar {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.has || e.trace == "" {
+	if !e.has {
 		return nil
 	}
-	return &Exemplar{Value: e.value, TraceID: e.trace}
+	return &Exemplar{Value: e.value, Cell: e.cell}
 }
 
-// cell returns the histogram's exemplar cell, creating it on first
+// exemplar returns the histogram's exemplar slot, creating it on first
 // use. Safe for concurrent use (CAS publish).
-func (h *Histogram) cell() *exemplarCell {
+func (h *Histogram) exemplar() *exemplarSlot {
 	if e := h.ex.Load(); e != nil {
 		return e
 	}
-	e := &exemplarCell{}
+	e := &exemplarSlot{}
 	if h.ex.CompareAndSwap(nil, e) {
 		return e
 	}
@@ -68,16 +58,17 @@ func (h *Histogram) cell() *exemplarCell {
 }
 
 // ObserveExemplar records one observation and offers it as the
-// histogram's exemplar under the given trace ID — the call sites that
-// know their trace directly (the harness observing trial latency).
-// Nil-safe and free on a nil handle.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+// histogram's exemplar under the given cell ID (the harness observing
+// trial latency). An empty cell records the observation only: an
+// exemplar that links nowhere must not shadow one that does. Nil-safe
+// and free on a nil handle.
+func (h *Histogram) ObserveExemplar(v float64, cell string) {
 	if h == nil {
 		return
 	}
 	h.observe(v)
-	if traceID != "" {
-		h.cell().offer(v, traceID)
+	if cell != "" {
+		h.exemplar().offer(v, cell)
 	}
 }
 
@@ -92,35 +83,4 @@ func (h *Histogram) Exemplar() *Exemplar {
 		return nil
 	}
 	return e.snapshot()
-}
-
-// SetTraceContext arms every histogram in the registry (current and
-// future) with a trace context: from now on each plain Observe offers
-// its value as the exemplar, stamped with traceID, so deeply
-// instrumented components (the undo scheme's rollback-stall histogram,
-// the attack's round latency) link to the trial's trace without
-// knowing tracing exists. The harness arms each per-trial registry
-// with the attempt's trace. Re-arming replaces the context for
-// subsequent wins; recorded exemplars keep the trace they won under.
-// Nil-safe.
-func (r *Registry) SetTraceContext(traceID string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.armedTrace = traceID
-	for _, name := range r.order {
-		if m := r.metrics[name]; m.h != nil {
-			m.h.arm(traceID)
-		}
-	}
-	r.mu.Unlock()
-}
-
-// arm stamps the armed trace context onto the histogram's cell.
-func (h *Histogram) arm(traceID string) {
-	e := h.cell()
-	e.mu.Lock()
-	e.armedTrace = traceID
-	e.mu.Unlock()
 }

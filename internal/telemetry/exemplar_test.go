@@ -5,39 +5,18 @@ import (
 	"testing"
 )
 
-func TestExemplarArmedObserve(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets())
-	h.Observe(10) // before arming: no exemplar
-	if h.Exemplar() != nil {
-		t.Fatal("unarmed histogram must have no exemplar")
-	}
-	r.SetTraceContext("00000000000000aa")
-	h.Observe(65)
-	h.Observe(40) // smaller: must not replace the worst
-	ex := h.Exemplar()
-	if ex == nil || ex.Value != 65 || ex.TraceID != "00000000000000aa" {
-		t.Fatalf("exemplar = %+v, want value 65 trace aa", ex)
-	}
-	// A histogram registered AFTER arming inherits the context.
-	h2 := r.Histogram("attack_round_latency_cycles", "lat", LatencyBuckets())
-	h2.Observe(118)
-	if ex := h2.Exemplar(); ex == nil || ex.TraceID != "00000000000000aa" {
-		t.Fatalf("late-registered histogram not armed: %+v", ex)
-	}
-}
-
 func TestObserveExemplarExplicit(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("harness_trial_latency_ms", "lat", LatencyBuckets())
-	h.ObserveExemplar(100, "00000000000000bb")
-	h.ObserveExemplar(250, "00000000000000cc")
-	h.ObserveExemplar(50, "00000000000000dd")
+	h.ObserveExemplar(100, "fig/b")
+	h.ObserveExemplar(250, "fig/c")
+	h.ObserveExemplar(50, "fig/d")
+	h.ObserveExemplar(900, "") // no cell: counted, never the exemplar
 	ex := h.Exemplar()
-	if ex == nil || ex.Value != 250 || ex.TraceID != "00000000000000cc" {
-		t.Fatalf("exemplar = %+v, want the worst (250/cc)", ex)
+	if ex == nil || ex.Value != 250 || ex.Cell != "fig/c" {
+		t.Fatalf("exemplar = %+v, want the worst named cell (250/fig/c)", ex)
 	}
-	if got := r.Snapshot().Histograms["harness_trial_latency_ms"].Count; got != 3 {
+	if got := r.Snapshot().Histograms["harness_trial_latency_ms"].Count; got != 4 {
 		t.Fatalf("ObserveExemplar must still count observations: %d", got)
 	}
 	// Nil-safety.
@@ -46,25 +25,27 @@ func TestObserveExemplarExplicit(t *testing.T) {
 	if hn.Exemplar() != nil {
 		t.Fatal("nil handle exemplar must be nil")
 	}
-	var rn *Registry
-	rn.SetTraceContext("x")
+	// A plain Observe never creates an exemplar.
+	h2 := r.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets())
+	h2.Observe(69)
+	if h2.Exemplar() != nil {
+		t.Fatal("plain Observe produced an exemplar")
+	}
 }
 
 func TestExemplarSnapshotAbsorbAndDiff(t *testing.T) {
 	trial1 := NewRegistry()
-	trial1.SetTraceContext("0000000000000001")
-	trial1.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets()).Observe(69)
+	trial1.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets()).ObserveExemplar(69, "fig/1")
 
 	trial2 := NewRegistry()
-	trial2.SetTraceContext("0000000000000002")
-	trial2.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets()).Observe(83)
+	trial2.Histogram("undo_rollback_stall_cycles", "stall", StallBuckets()).ObserveExemplar(83, "fig/2")
 
 	campaign := NewRegistry()
 	campaign.Absorb(trial1.Snapshot())
 	campaign.Absorb(trial2.Snapshot())
 	ex := campaign.Snapshot().Histograms["undo_rollback_stall_cycles"].Exemplar
-	if ex == nil || ex.Value != 83 || ex.TraceID != "0000000000000002" {
-		t.Fatalf("rollup exemplar = %+v, want worst trial (83/trace 2)", ex)
+	if ex == nil || ex.Value != 83 || ex.Cell != "fig/2" {
+		t.Fatalf("rollup exemplar = %+v, want worst trial (83/fig/2)", ex)
 	}
 	// Absorbing the smaller trial again must not displace the worst.
 	campaign.Absorb(trial1.Snapshot())
@@ -81,14 +62,14 @@ func TestExemplarSnapshotAbsorbAndDiff(t *testing.T) {
 func TestExemplarPrometheusEncoding(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("harness_trial_latency_ms", "trial latency", []float64{10, 100, 1000}).
-		ObserveExemplar(250, "00000000000000cc")
+		ObserveExemplar(250, "fig/c")
 	r.Counter("harness_attempts_total", "attempts").Inc()
 	var b strings.Builder
 	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	want := "# EXEMPLAR harness_trial_latency_ms trace_id=00000000000000cc value=250\n"
+	want := "# EXEMPLAR harness_trial_latency_ms cell=fig/c value=250\n"
 	if !strings.Contains(out, want) {
 		t.Fatalf("missing exemplar line %q in:\n%s", want, out)
 	}

@@ -98,9 +98,9 @@ type Histogram struct {
 	counts []atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-	// ex is the exemplar cell (see exemplar.go); nil until exemplars
-	// are armed, so an untraced Observe pays one pointer load.
-	ex atomic.Pointer[exemplarCell]
+	// ex is the exemplar slot (see exemplar.go); nil until the first
+	// ObserveExemplar or absorbed exemplar.
+	ex atomic.Pointer[exemplarSlot]
 }
 
 // Observe records one observation. The nil-check shell stays within
@@ -121,9 +121,6 @@ func (h *Histogram) observe(v float64) {
 	// is exactly the `le` bucket.
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	if e := h.ex.Load(); e != nil {
-		e.offer(v, "")
-	}
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -162,9 +159,6 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
 	order   []string // registration order for stable encoding
-	// armedTrace is the exemplar trace context (SetTraceContext);
-	// histograms registered after arming inherit it.
-	armedTrace string
 }
 
 // NewRegistry returns an empty registry.
@@ -227,11 +221,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 				uniq = append(uniq, b)
 			}
 		}
-		h := &Histogram{bounds: uniq, counts: make([]atomic.Uint64, len(uniq)+1)}
-		if r.armedTrace != "" { // lookup holds r.mu while mk runs
-			h.arm(r.armedTrace)
-		}
-		return &metric{h: h}
+		return &metric{h: &Histogram{bounds: uniq, counts: make([]atomic.Uint64, len(uniq)+1)}}
 	}).h
 }
 

@@ -28,8 +28,8 @@ type HistogramSnapshot struct {
 	Counts []uint64  `json:"counts"`
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
-	// Exemplar links the worst observation to its trace (nil when the
-	// histogram never saw a traced observation).
+	// Exemplar links the worst observation to its cell (nil when the
+	// histogram never saw an ObserveExemplar).
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
@@ -196,10 +196,10 @@ func (r *Registry) Absorb(s Snapshot) {
 		if h == nil {
 			continue
 		}
-		if ex := hs.Exemplar; ex != nil && ex.TraceID != "" {
+		if ex := hs.Exemplar; ex != nil && ex.Cell != "" {
 			// Max-keeping merge: the rollup's exemplar is the worst
 			// observation across every absorbed trial.
-			h.cell().offer(ex.Value, ex.TraceID)
+			h.exemplar().offer(ex.Value, ex.Cell)
 		}
 		if len(h.counts) == len(hs.Counts) {
 			for i, n := range hs.Counts {

@@ -147,7 +147,7 @@ func TestWriteChromeLanePacking(t *testing.T) {
 func TestWriteChromeRealRound(t *testing.T) {
 	a := unxpec.MustNew(unxpec.Options{Seed: 1})
 	a.MeasureOnce(1) // warm up
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	a.Core().SetTracer(buf)
 	a.MeasureOnce(1)
 	a.Core().SetTracer(nil)

@@ -12,100 +12,50 @@ import (
 	"repro/internal/cpu"
 )
 
-// Buffer records events up to a capacity (0 = unbounded). When bounded
-// it is a true circular buffer: each insert past capacity overwrites
-// the oldest slot in place (one store + one index bump), not an
-// O(capacity) shift. Events() still returns the retained events oldest
-// first.
+// Buffer is an unbounded, append-only pipeline event log: attach it
+// for a short run (one attack round, one kernel) and render it. The
+// bounded ring that survives a long run is cpu.FlightRecorder's job.
 type Buffer struct {
-	capacity int
-	events   []cpu.TraceEvent
-	head     int // next overwrite position once the ring is full
-	full     bool
-	dropped  uint64
+	events []cpu.TraceEvent
 	// KindFilter, when non-empty, records only listed kinds. Keys are
 	// the cpu.Kind* constants, so a typo'd kind is a compile error
 	// rather than a filter that silently matches nothing.
 	KindFilter map[cpu.Kind]bool
 }
 
-// NewBuffer returns a recorder holding up to capacity events.
-func NewBuffer(capacity int) *Buffer {
-	return &Buffer{capacity: capacity}
-}
+// NewBuffer returns an empty event log.
+func NewBuffer() *Buffer { return &Buffer{} }
 
 // Event implements cpu.Tracer.
 func (b *Buffer) Event(ev cpu.TraceEvent) {
 	if b.KindFilter != nil && !b.KindFilter[ev.Kind] {
 		return
 	}
-	if b.capacity > 0 && len(b.events) >= b.capacity {
-		b.events[b.head] = ev
-		b.head++
-		if b.head == len(b.events) {
-			b.head = 0
-		}
-		b.full = true
-		b.dropped++
-		return
-	}
 	b.events = append(b.events, ev)
 }
 
-// each visits the retained events oldest first without allocating.
-func (b *Buffer) each(visit func(ev cpu.TraceEvent)) {
-	if !b.full {
-		for _, ev := range b.events {
-			visit(ev)
-		}
-		return
-	}
-	for _, ev := range b.events[b.head:] {
-		visit(ev)
-	}
-	for _, ev := range b.events[:b.head] {
-		visit(ev)
-	}
-}
-
-// Events returns the recorded events in order, oldest first.
+// Events returns a copy of the recorded events in order, oldest first.
 func (b *Buffer) Events() []cpu.TraceEvent {
-	out := make([]cpu.TraceEvent, 0, len(b.events))
-	b.each(func(ev cpu.TraceEvent) { out = append(out, ev) })
-	return out
+	return append([]cpu.TraceEvent(nil), b.events...)
 }
 
-// Dropped returns how many events fell out of a bounded buffer.
-func (b *Buffer) Dropped() uint64 { return b.dropped }
-
-// Reset clears the buffer.
-func (b *Buffer) Reset() {
-	b.events = b.events[:0]
-	b.head = 0
-	b.full = false
-	b.dropped = 0
-}
-
-// Len returns the number of retained events.
+// Len returns the number of recorded events.
 func (b *Buffer) Len() int { return len(b.events) }
 
-// OfKind returns the retained events of one kind, oldest first.
+// OfKind returns the recorded events of one kind, oldest first.
 func (b *Buffer) OfKind(kind cpu.Kind) []cpu.TraceEvent {
 	var out []cpu.TraceEvent
-	b.each(func(ev cpu.TraceEvent) {
+	for _, ev := range b.events {
 		if ev.Kind == kind {
 			out = append(out, ev)
 		}
-	})
+	}
 	return out
 }
 
 // Render writes a human-readable event log.
 func (b *Buffer) Render(w io.Writer) {
-	if b.dropped > 0 {
-		fmt.Fprintf(w, "(%d earlier events dropped)\n", b.dropped)
-	}
-	b.each(func(ev cpu.TraceEvent) {
+	for _, ev := range b.events {
 		switch ev.Kind {
 		case cpu.KindSquash:
 			fmt.Fprintf(w, "%8d  %-8s pc=%-4d %-24s squashed %d younger\n",
@@ -126,13 +76,15 @@ func (b *Buffer) Render(w io.Writer) {
 		default:
 			fmt.Fprintf(w, "%8d  %-8s pc=%-4d %s\n", ev.Cycle, ev.Kind, ev.PC, ev.Inst)
 		}
-	})
+	}
 }
 
 // Summary aggregates a trace into per-kind counts.
 func (b *Buffer) Summary() map[cpu.Kind]int {
 	out := map[cpu.Kind]int{}
-	b.each(func(ev cpu.TraceEvent) { out[ev.Kind]++ })
+	for _, ev := range b.events {
+		out[ev.Kind]++
+	}
 	return out
 }
 
@@ -158,11 +110,11 @@ func (b *Buffer) Timeline(n int) string {
 			maxCycle = c
 		}
 	}
-	b.each(func(ev cpu.TraceEvent) {
+	for _, ev := range b.events {
 		l, ok := byseq[ev.Seq]
 		if !ok {
 			if len(order) >= n && ev.Kind == cpu.KindFetch {
-				return
+				continue
 			}
 			l = &life{seq: ev.Seq, pc: ev.PC, text: ev.Inst.String(), fetch: ^uint64(0), issue: ^uint64(0), ret: ^uint64(0)}
 			byseq[ev.Seq] = l
@@ -182,7 +134,7 @@ func (b *Buffer) Timeline(n int) string {
 			// Resolve, squash and cleanup (and any future kind) carry no
 			// F/I/R gantt mark; Render shows them in full.
 		}
-	})
+	}
 	if len(order) == 0 || minCycle > maxCycle {
 		return ""
 	}

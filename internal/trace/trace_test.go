@@ -22,7 +22,7 @@ func tracedCPU(t *testing.T, buf *Buffer) *cpu.CPU {
 }
 
 func TestBufferRecordsPipelineEvents(t *testing.T) {
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	core := tracedCPU(t, buf)
 	core.Run(isa.NewBuilder().Const(1, 5).AddI(2, 1, 1).Halt().MustBuild())
 	sum := buf.Summary()
@@ -38,7 +38,7 @@ func TestBufferRecordsPipelineEvents(t *testing.T) {
 }
 
 func TestBufferCapturesSquashAndCleanup(t *testing.T) {
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	core := tracedCPU(t, buf)
 	memory := core.Hierarchy().Memory()
 	memory.WriteWord(0x9000, 10)
@@ -58,7 +58,8 @@ func TestBufferCapturesSquashAndCleanup(t *testing.T) {
 		core.Run(prog(int64(i % 5)))
 	}
 	core.Run(isa.NewBuilder().Const(2, 0x9000).Flush(2, 0).Const(3, 0x30000).Flush(3, 0).Fence().Halt().MustBuild())
-	buf.Reset()
+	buf = NewBuffer() // record only the measured run
+	core.SetTracer(buf)
 	core.Run(prog(999))
 
 	squashes := buf.OfKind(cpu.KindSquash)
@@ -81,26 +82,8 @@ func TestBufferCapturesSquashAndCleanup(t *testing.T) {
 	}
 }
 
-func TestBoundedBufferDropsOldest(t *testing.T) {
-	buf := NewBuffer(5)
-	core := tracedCPU(t, buf)
-	core.Run(isa.NewBuilder().Const(1, 1).Const(2, 2).Const(3, 3).Const(4, 4).Halt().MustBuild())
-	if buf.Len() != 5 {
-		t.Fatalf("len %d, want capacity 5", buf.Len())
-	}
-	if buf.Dropped() == 0 {
-		t.Fatal("nothing dropped")
-	}
-	// The retained events are the most recent ones.
-	evs := buf.Events()
-	last := evs[len(evs)-1]
-	if last.Kind != cpu.KindRetire {
-		t.Fatalf("last retained event %q, expected the final retire", last.Kind)
-	}
-}
-
 func TestKindFilter(t *testing.T) {
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	buf.KindFilter = map[cpu.Kind]bool{cpu.KindRetire: true}
 	core := tracedCPU(t, buf)
 	core.Run(isa.NewBuilder().Const(1, 1).Halt().MustBuild())
@@ -115,7 +98,7 @@ func TestKindFilter(t *testing.T) {
 }
 
 func TestRenderContainsMarkers(t *testing.T) {
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	core := tracedCPU(t, buf)
 	core.Run(isa.NewBuilder().Const(1, 7).Halt().MustBuild())
 	var sb strings.Builder
@@ -129,7 +112,7 @@ func TestRenderContainsMarkers(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	buf := NewBuffer(0)
+	buf := NewBuffer()
 	core := tracedCPU(t, buf)
 	core.Run(isa.NewBuilder().Const(1, 0x40000).Load(2, 1, 0).Halt().MustBuild())
 	tl := buf.Timeline(10)
@@ -142,7 +125,7 @@ func TestTimeline(t *testing.T) {
 }
 
 func TestTimelineEmptyBuffer(t *testing.T) {
-	if NewBuffer(0).Timeline(5) != "" {
+	if NewBuffer().Timeline(5) != "" {
 		t.Fatal("empty buffer should render empty timeline")
 	}
 }
@@ -152,7 +135,7 @@ func TestTracingDoesNotChangeTiming(t *testing.T) {
 		hier := memsys.MustNew(memsys.DefaultConfig(1), mem.NewMemory())
 		core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), undo.NewCleanupSpec(), noise.None{})
 		if trace {
-			core.SetTracer(NewBuffer(0))
+			core.SetTracer(NewBuffer())
 		}
 		st := core.Run(isa.NewBuilder().Const(1, 0x50000).Load(2, 1, 0).Load(3, 1, 64).Halt().MustBuild())
 		return st.Cycles
@@ -163,20 +146,20 @@ func TestTracingDoesNotChangeTiming(t *testing.T) {
 }
 
 func TestRenderAllEventKinds(t *testing.T) {
-	buf := NewBuffer(2)
+	buf := NewBuffer()
 	buf.Event(cpu.TraceEvent{Kind: cpu.KindSquash, Cycle: 5, Seq: 1, Detail: 3})
 	buf.Event(cpu.TraceEvent{Kind: cpu.KindCleanup, Cycle: 6, Seq: 1, Detail: 22})
 	buf.Event(cpu.TraceEvent{Kind: cpu.KindResolve, Cycle: 7, Seq: 2, Detail: 1})
 	var sb strings.Builder
 	buf.Render(&sb)
 	out := sb.String()
-	for _, want := range []string{"cleanup", "stall 22", "MISPREDICT", "1 earlier events dropped"} {
+	for _, want := range []string{"cleanup", "stall 22", "MISPREDICT", "squashed 3 younger"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
 	// Correct resolves render as such.
-	buf2 := NewBuffer(0)
+	buf2 := NewBuffer()
 	buf2.Event(cpu.TraceEvent{Kind: cpu.KindResolve, Cycle: 1, Detail: 0})
 	sb.Reset()
 	buf2.Render(&sb)

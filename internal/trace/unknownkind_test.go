@@ -101,7 +101,7 @@ func TestChromeRendersUnknownKind(t *testing.T) {
 }
 
 func TestRenderShowsUnknownKind(t *testing.T) {
-	b := NewBuffer(0)
+	b := NewBuffer()
 	b.Event(cpu.TraceEvent{Kind: kindBogus, Seq: 8, Cycle: 5, PC: 42})
 	var out bytes.Buffer
 	b.Render(&out)
@@ -111,7 +111,7 @@ func TestRenderShowsUnknownKind(t *testing.T) {
 }
 
 func TestTimelineIgnoresUnknownKindButKeepsRow(t *testing.T) {
-	b := NewBuffer(0)
+	b := NewBuffer()
 	b.Event(cpu.TraceEvent{Kind: cpu.KindFetch, Seq: 1, Cycle: 1, PC: 10})
 	b.Event(cpu.TraceEvent{Kind: kindBogus, Seq: 1, Cycle: 2, PC: 10})
 	b.Event(cpu.TraceEvent{Kind: cpu.KindRetire, Seq: 1, Cycle: 3, PC: 10})

@@ -13,7 +13,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/noise"
 	"repro/internal/stats"
-	"repro/internal/teletrace"
 	"repro/internal/undo"
 )
 
@@ -122,7 +121,6 @@ type Attack struct {
 	rounds      uint64
 	roundCycles uint64
 	met         attackMetrics
-	span        *teletrace.Span
 }
 
 // New builds the simulated machine, generates the programs, and

@@ -25,9 +25,6 @@ func (a *Attack) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a.span != nil {
-		a.span.Eventf("snapshot-fork", "checkpoint at cycle %d", a.core.Cycle())
-	}
 	return &Checkpoint{
 		snap:        snap,
 		trained:     a.trained,
@@ -42,9 +39,6 @@ func (a *Attack) Checkpoint() (*Checkpoint, error) {
 func (a *Attack) Restore(cp *Checkpoint) error {
 	if err := machine.Of(a.core).Restore(cp.snap); err != nil {
 		return err
-	}
-	if a.span != nil {
-		a.span.Eventf("snapshot-restore", "rewound to cycle %d", a.core.Cycle())
 	}
 	a.trained = cp.trained
 	a.rounds = cp.rounds

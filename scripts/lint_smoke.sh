@@ -25,7 +25,6 @@ bad_pkgs=(
     fixtures/determinism/bad
     fixtures/exhaustive/bad
     fixtures/nilmetricsbad/telemetry
-    fixtures/nilmetricsbad/teletrace
     fixtures/typederr/bad
     fixtures/seedflow/bad
 )
@@ -68,7 +67,6 @@ echo "== clean fixtures: zero diagnostics =="
 "$bin" -C "$fixtures" \
     fixtures/determinism/clean fixtures/determinism/allow \
     fixtures/exhaustive/clean fixtures/nilmetricsgood/telemetry \
-    fixtures/nilmetricsgood/teletrace \
     fixtures/typederr/clean fixtures/seedflow/clean
 
 echo "== repository: zero diagnostics =="

@@ -7,8 +7,10 @@
 #      telemetry snapshot with coherent histograms;
 #   3. a harness-injected panic journals a post-mortem carrying
 #      flight-recorder events;
-#   4. cmd/trace -chrome emits a valid Chrome trace-event file.
-# Artefacts 1, 2, and 4 are gated by scripts/telemetrycheck.
+#   4. the rollup's worst-trial exemplar names a cell that has a
+#      record in the sweep's own journal (outlier -> journal walk);
+#   5. cmd/trace -chrome emits a valid Chrome trace-event file.
+# Artefacts 1, 2, and 5 are gated by scripts/telemetrycheck.
 # Used by `make telemetry-smoke` and CI. Optional $1 = scratch directory.
 set -euo pipefail
 
@@ -75,8 +77,26 @@ grep '"class":"panic"' "$out/run.jsonl" | grep -q '"events":\[{' || {
     exit 1
 }
 
+echo "== worst-trial exemplar names a journaled cell =="
+python3 - "$out/metrics.json" "$out/run.jsonl" <<'PY'
+import json, sys
+hist = json.load(open(sys.argv[1]))["histograms"]["harness_trial_latency_ms"]
+cell = (hist.get("exemplar") or {}).get("cell", "")
+if not cell:
+    sys.exit("FAIL: harness_trial_latency_ms rollup has no exemplar cell")
+cells = set()
+for line in open(sys.argv[2]):
+    try:
+        cells.add(json.loads(line).get("cell"))
+    except ValueError:
+        pass
+if cell not in cells:
+    sys.exit("FAIL: exemplar cell %r has no record in %s" % (cell, sys.argv[2]))
+print("   exemplar cell %s -> journal record" % cell)
+PY
+
 echo "== Chrome trace export =="
 go run ./cmd/trace -chrome "$out/round.json" > /dev/null
 "$check" -chrome "$out/round.json"
 
-echo "telemetry smoke OK: live endpoint, rollup, post-mortem, and Chrome trace all check out"
+echo "telemetry smoke OK: live endpoint, rollup, post-mortem, exemplar -> journal, and Chrome trace all check out"

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/telemetry"
 )
@@ -80,6 +81,23 @@ func checkSnapshotJSON(path string) error {
 		if sum != h.Count {
 			return fmt.Errorf("histogram %s: bucket counts total %d but Count=%d", name, sum, h.Count)
 		}
+		if h.Exemplar != nil {
+			if err := checkCell(h.Exemplar.Cell); err != nil {
+				return fmt.Errorf("histogram %s: %v", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkCell validates an exemplar's cell ID: a journal key, so
+// non-empty and free of whitespace.
+func checkCell(cell string) error {
+	if cell == "" {
+		return fmt.Errorf("exemplar cell is empty")
+	}
+	if strings.ContainsFunc(cell, unicode.IsSpace) {
+		return fmt.Errorf("exemplar cell %q contains whitespace", cell)
 	}
 	return nil
 }
@@ -124,19 +142,19 @@ func checkPrometheus(path string) error {
 			continue
 		}
 		if strings.HasPrefix(line, "# EXEMPLAR ") {
-			// # EXEMPLAR <histogram> trace_id=<16 hex> value=<float> —
-			// the worst observation's link into the trace explorer.
+			// # EXEMPLAR <histogram> cell=<id> value=<float> — the worst
+			// observation's link to its harness journal record.
 			fields := strings.Fields(line)
 			if len(fields) != 5 {
 				return fmt.Errorf("line %d: malformed exemplar %q", lineNo, line)
 			}
 			name := fields[2]
-			tid, ok := strings.CutPrefix(fields[3], "trace_id=")
+			cell, ok := strings.CutPrefix(fields[3], "cell=")
 			if !ok {
-				return fmt.Errorf("line %d: exemplar missing trace_id: %q", lineNo, line)
+				return fmt.Errorf("line %d: exemplar missing cell: %q", lineNo, line)
 			}
-			if len(tid) != 16 || strings.Trim(tid, "0123456789abcdef") != "" {
-				return fmt.Errorf("line %d: exemplar trace_id %q is not 16 hex digits", lineNo, tid)
+			if err := checkCell(cell); err != nil {
+				return fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			val, ok := strings.CutPrefix(fields[4], "value=")
 			if !ok {

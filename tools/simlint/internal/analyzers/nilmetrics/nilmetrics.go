@@ -1,7 +1,6 @@
-// Package nilmetrics enforces the internal/telemetry and
-// internal/teletrace contract that a nil handle (*Counter, *Gauge,
-// *Histogram, *Registry, *Tracer, *Span, *Store, ...) is a valid, free
-// no-op: every exported pointer-receiver method must guard the
+// Package nilmetrics enforces the internal/telemetry contract that a
+// nil handle (*Counter, *Gauge, *Histogram, *Registry) is a valid,
+// free no-op: every exported pointer-receiver method must guard the
 // receiver against nil before touching its fields, so detached
 // instrumentation stays a one-branch cost instead of a panic in the
 // middle of a sweep. Unexported helpers (called only behind a guard)
@@ -41,17 +40,13 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// inScope limits the analyzer to the telemetry and teletrace packages
-// (and fixture packages laid out under directories of the same names).
+// inScope limits the analyzer to the telemetry package (and fixture
+// packages laid out under directories of the same name).
 func inScope(pkgPath string) bool {
-	for _, seg := range []string{"telemetry", "teletrace"} {
-		if pkgPath == seg ||
-			strings.HasSuffix(pkgPath, "/"+seg) ||
-			strings.Contains(pkgPath, "/"+seg+"/") {
-			return true
-		}
-	}
-	return false
+	const seg = "telemetry"
+	return pkgPath == seg ||
+		strings.HasSuffix(pkgPath, "/"+seg) ||
+		strings.Contains(pkgPath, "/"+seg+"/")
 }
 
 func checkMethod(pass *analysis.Pass, fn *ast.FuncDecl) {

@@ -14,25 +14,13 @@ func TestCleanFixtureSilent(t *testing.T) {
 	analysistest.Run(t, analysistest.DefaultModule(), Analyzer, "fixtures/nilmetricsgood/telemetry")
 }
 
-func TestBadTeletraceFixtureFires(t *testing.T) {
-	analysistest.Run(t, analysistest.DefaultModule(), Analyzer, "fixtures/nilmetricsbad/teletrace")
-}
-
-func TestCleanTeletraceFixtureSilent(t *testing.T) {
-	analysistest.Run(t, analysistest.DefaultModule(), Analyzer, "fixtures/nilmetricsgood/teletrace")
-}
-
 func TestScope(t *testing.T) {
 	for path, want := range map[string]bool{
 		"repro/internal/telemetry":         true,
 		"fixtures/nilmetricsbad/telemetry": true,
 		"telemetry":                        true,
-		"repro/internal/teletrace":         true,
-		"fixtures/nilmetricsbad/teletrace": true,
-		"teletrace":                        true,
 		"repro/internal/cpu":               false,
 		"repro/internal/telemetrical":      false,
-		"repro/internal/teletracer":        false,
 	} {
 		if got := inScope(path); got != want {
 			t.Errorf("inScope(%q) = %v, want %v", path, got, want)
