@@ -12,14 +12,24 @@
 // says rollback takes. Fences and RDTSC have their serializing x86
 // semantics so the attack's measurement window is exact.
 //
-// The ROB is a slice of entry records owned by the core: the live
-// window is the index range [robHead, robHead+robLen) of a buffer twice
-// the architectural size, so head pops are O(1) and compaction on push
-// is amortized.
+// The pipeline is event-driven, so a simulated cycle costs work in
+// proportion to what happens in it, not to ROB occupancy. The ROB is a
+// ring of entry records with stable slot indices. Fetch decodes each
+// instruction once, renames its sources to their youngest in-flight
+// producers, and links it into those producers' dependents lists; a
+// producer's completion wakes its dependents into a ready set that
+// issue selects from in program order. Per-slot bitmaps keep the
+// unissued and ready entries, incomplete fences, stores and flushes,
+// loads, pending speculative loads and shadow casters (unresolved
+// branches, divides not yet proven non-faulting) in program order, and
+// a min-heap of completion times drives both wakeup and the fast-
+// forward target (sched.go). A scanning reference core, kept in the
+// package's tests, pins the event-driven one to it event for event.
 package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/branch"
 	"repro/internal/isa"
@@ -74,16 +84,35 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration and names the first bad field.
+// Sizes must be positive; latencies must not be negative, since they
+// are added to the cycle count unsigned.
 func (c Config) Validate() error {
-	if c.ROBSize <= 0 || c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0 {
-		return fmt.Errorf("cpu: widths and ROB size must be positive")
+	type field struct {
+		name string
+		v    int
 	}
-	if c.LoadPorts <= 0 || c.IssueWindow <= 0 {
-		return fmt.Errorf("cpu: load ports and issue window must be positive")
+	for _, f := range []field{
+		{"ROBSize", c.ROBSize}, {"FetchWidth", c.FetchWidth}, {"IssueWidth", c.IssueWidth},
+		{"IssueWindow", c.IssueWindow}, {"RetireWidth", c.RetireWidth}, {"LoadPorts", c.LoadPorts},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("cpu: %s %d must be positive", f.name, f.v)
+		}
+	}
+	for _, f := range []field{
+		{"ALULatency", c.ALULatency}, {"MulLatency", c.MulLatency},
+		{"BranchLatency", c.BranchLatency}, {"SquashPenalty", c.SquashPenalty},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("cpu: %s %d is negative", f.name, f.v)
+		}
 	}
 	if c.MaxCycles == 0 {
-		return fmt.Errorf("cpu: zero watchdog")
+		return fmt.Errorf("cpu: MaxCycles 0 disables the watchdog")
+	}
+	if !(c.ClockGHz > 0) || math.IsInf(c.ClockGHz, 1) {
+		return fmt.Errorf("cpu: ClockGHz %v must be positive and finite", c.ClockGHz)
 	}
 	return nil
 }
@@ -130,7 +159,8 @@ func (s Stats) IPC() float64 {
 
 // entry is one ROB entry. The pipeline reads and writes entries in
 // place in CPU.rob; State capture (state.go) copies them by value,
-// which is sound because an entry holds no pointers.
+// which is sound because an entry holds no pointers. The event-side
+// bookkeeping derived from an entry lives apart from it, in CPU.sch.
 type entry struct {
 	seq       uint64
 	idx       int // instruction index (simulated PC)
@@ -163,7 +193,6 @@ const (
 	fSpecAtIssue
 	fCommittedSpec
 	fShadowed // invisible-scheme load: issued without install
-	fSquashed
 	// fFaulting marks a divide whose divisor was zero at issue; the trap
 	// fires when it reaches the head of the ROB.
 	fFaulting
@@ -188,10 +217,12 @@ type CPU struct {
 
 	regs [isa.NumRegs]uint64
 
-	// Run state. The ROB is the contiguous index window
-	// [robHead, robHead+robLen) into rob.
+	// Run state. The ROB is the window of robLen slots starting at
+	// robHead in the ring rob, whose length is a power of two of at
+	// least ROBSize; window position i lives in slot (robHead+i)&mask.
 	prog          *isa.Program
 	rob           []entry
+	mask          int
 	robHead       int
 	robLen        int
 	nextSeq       uint64
@@ -229,6 +260,25 @@ type CPU struct {
 	progressed bool
 
 	transientsBuf []undo.TransientLoad
+
+	// Event-side state, derived from the window and kept up to date by
+	// fetch, issue, complete, squash and retire (sched.go). RestoreState
+	// rebuilds it in one pass.
+	sch       []slotSched
+	rename    [isa.NumRegs]slotRef
+	sets      []uint64 // backing words of the per-slot bitmaps below
+	unissued  bitmap
+	ready     bitmap // unissued entries whose producers have all completed
+	fences    bitmap // fences not yet done
+	stores    bitmap // stores and flushes
+	loads     bitmap
+	specLoads bitmap // issued speculative loads not yet committed
+	casters   bitmap // unresolved branches; divides not yet proven non-faulting
+	nDone     int    // leading window entries known to be complete
+	nFences   int    // members of fences
+	nUnissued int    // members of unissued
+	events    []wakeEvent
+	due       []int32 // branches whose execution has finished, unresolved
 }
 
 // New builds a core. A nil noise model means noise.None.
@@ -242,12 +292,11 @@ func New(cfg Config, hier *memsys.Hierarchy, pred branch.Direction, scheme undo.
 	if nz == nil {
 		nz = noise.None{}
 	}
-	// The ROB window lives in a buffer twice the architectural size so
-	// head pops are O(1) and compaction on push is amortized; slots are
+	// Every per-core structure is sized here, from ROBSize; slots are
 	// reused in place, so the steady-state run loop performs zero heap
 	// allocations.
-	c := &CPU{cfg: cfg, hier: hier, pred: pred, scheme: scheme, noise: nz,
-		rob: make([]entry, 2*cfg.ROBSize)}
+	c := &CPU{cfg: cfg, hier: hier, pred: pred, scheme: scheme, noise: nz}
+	c.allocSched()
 	// Idle-cycle skipping is exact only when the noise model is
 	// consulted a position-independent number of times, i.e. never
 	// injects anything. Models advertise that via the Silent marker.
@@ -310,6 +359,7 @@ func (c *CPU) BeginProgram(prog *isa.Program) {
 	c.prog = prog
 	c.robHead = 0
 	c.robLen = 0
+	c.resetSched()
 	c.fetchPC = 0
 	c.fetchStopped = false
 	c.fetchReady = c.cycle
@@ -401,11 +451,9 @@ func (c *CPU) nextWakeupFrom(from uint64) uint64 {
 			w = t
 		}
 	}
-	for p := c.robHead; p < c.robHead+c.robLen; p++ {
-		e := &c.rob[p]
-		if e.is(fIssued) && e.doneAt >= from {
-			lower(e.doneAt)
-		}
+	// The heap holds every issued entry whose doneAt is still ahead.
+	if len(c.events) > 0 {
+		lower(c.events[0].at)
 	}
 	if !c.fetchStopped {
 		lower(c.fetchReady)
@@ -557,7 +605,7 @@ func (c *CPU) retire() {
 			c.met.retired.Inc()
 			return
 		default:
-			if rd, ok := e.inst.DstReg(); ok {
+			if rd := c.sch[p].dst; rd != isa.Zero {
 				c.regs[rd] = e.val
 			}
 		}
@@ -575,104 +623,81 @@ func (c *CPU) retire() {
 	}
 }
 
-// popROB retires the head entry from the live window.
-func (c *CPU) popROB() {
-	c.robHead++
-	c.robLen--
-}
-
-// pushSlot claims the slot after the live window and returns its index,
-// compacting the window to the front of the buffer when it reaches the
-// end. fetch only pushes while robLen < ROBSize, so the 2×ROBSize
-// buffer never overflows.
-func (c *CPU) pushSlot() int {
-	end := c.robHead + c.robLen
-	if end == len(c.rob) {
-		copy(c.rob, c.rob[c.robHead:end])
-		c.robHead = 0
-		end = c.robLen
-	}
-	c.robLen++
-	return end
-}
-
-// complete marks finished executions and resolves branches (possibly
-// squashing).
+// complete delivers the completions whose time has come, finishes
+// fences whose older instructions are all done, and resolves the
+// branches whose execution finished (possibly squashing).
 func (c *CPU) complete() {
-	// Fences complete when everything older is done.
-	for i := 0; i < c.robLen; i++ {
-		p := c.robHead + i
-		e := &c.rob[p]
-		if e.inst.Op == isa.OpFence && !e.is(fDone) && c.allOlderDone(i) {
-			e.set(fDone)
-			e.doneAt = c.cycle
-			c.progressed = true
-		}
+	for len(c.events) > 0 && c.events[0].at <= c.cycle {
+		c.wake(c.popEvent())
 	}
-	// Resolve branches whose execution finished this cycle. Resolve
-	// the oldest first: an older mispredict supersedes younger ones.
-	for i := 0; i < c.robLen; i++ {
-		p := c.robHead + i
-		e := &c.rob[p]
-		if !e.inst.Op.IsBranch() || !e.is(fIssued) || e.is(fResolved) || e.doneAt > c.cycle {
-			continue
+	// Fences complete when everything older is done. Only the oldest
+	// incomplete fence can qualify; completing it may free the next.
+	for c.nFences > 0 {
+		i := c.nextPos(c.fences, 0)
+		if !c.allOlderDone(i) {
+			break
 		}
+		p := c.slot(i)
+		e := &c.rob[p]
+		e.set(fDone)
+		e.doneAt = c.cycle
+		c.fences.clear(p)
+		c.nFences--
+		c.progressed = true
+	}
+	if len(c.due) == 0 {
+		return
+	}
+	// Resolve the oldest first: an older mispredict supersedes younger
+	// ones.
+	c.sortDue()
+	for _, q := range c.due {
+		p := int(q)
+		e := &c.rob[p]
 		e.set(fDone | fResolved)
+		c.casters.clear(p)
 		c.progressed = true
 		actual := branchTaken(e.inst.Op, e.srcA, e.srcB)
 		mispred := actual != e.is(fPredTaken)
 		c.emit(KindResolve, p, boolToDetail(mispred))
 		c.pred.Update(e.idx, actual, e.inst.Target, mispred)
 		if mispred {
-			c.squash(i, actual)
-			// Everything younger is gone; resolution pass is over.
+			// Everything younger, due branches included, is gone.
+			c.squash(c.pos(p), actual)
 			break
 		}
 		c.commitClearedLoads()
 	}
+	c.due = c.due[:0]
 }
 
-// completedNow reports whether entry p's execution has truly finished by
-// the current cycle (issue marks done with a future doneAt).
-func (c *CPU) completedNow(p int) bool {
-	return c.rob[p].is(fDone) && c.rob[p].doneAt <= c.cycle
-}
-
-// allOlderDone reports whether every ROB entry older than position i is
-// complete.
+// allOlderDone reports whether every ROB entry older than window
+// position i is complete (done, with doneAt reached). It advances the
+// completion frontier nDone, which only moves forward between squashes:
+// an entry that is complete stays complete.
 func (c *CPU) allOlderDone(i int) bool {
-	for j := 0; j < i; j++ {
-		if !c.completedNow(c.robHead + j) {
+	for c.nDone < i {
+		e := &c.rob[c.slot(c.nDone)]
+		if !e.is(fDone) || e.doneAt > c.cycle {
 			return false
 		}
+		c.nDone++
 	}
 	return true
 }
 
 // commitClearedLoads clears speculative marks for issued loads no longer
-// shadowed by any unresolved branch, and performs deferred installs for
-// invisible schemes.
+// shadowed by any unresolved branch (or a divide not yet proven
+// non-faulting), and performs deferred installs for invisible schemes.
+// The candidates are the pending speculative loads older than the oldest
+// shadow caster, visited in program order.
 func (c *CPU) commitClearedLoads() {
-	// One pass in program order: shadowed latches once an unresolved
-	// branch (or a divide not yet proven non-faulting) is seen,
-	// replacing a per-load rescan of all older entries.
-	shadowed := false
-	for i := 0; i < c.robLen; i++ {
-		p := c.robHead + i
+	shadow := c.nextPos(c.casters, 0)
+	for i := c.nextPos(c.specLoads, 0); i < shadow; i = c.nextPos(c.specLoads, i+1) {
+		p := c.slot(i)
 		e := &c.rob[p]
-		op := e.inst.Op
-		castsShadow := (op.IsBranch() && !e.is(fResolved)) ||
-			(op == isa.OpDiv && (!e.is(fIssued) || e.is(fFaulting)))
-		if op != isa.OpLoad || !e.is(fIssued) || !e.is(fSpecAtIssue) || e.is(fCommittedSpec) {
-			if castsShadow {
-				shadowed = true
-			}
-			continue
-		}
-		if shadowed {
-			continue
-		}
 		e.set(fCommittedSpec)
+		c.specLoads.clear(p)
 		c.progressed = true
 		if e.is(fShadowed) {
 			// Invisible scheme: install now that the load is safe.
@@ -684,34 +709,20 @@ func (c *CPU) commitClearedLoads() {
 	}
 }
 
-// squash handles a mispredicted branch at ROB position i: discard the
-// younger entries, hand the transient footprint to the undo scheme, and
-// stall/redirect per the paper's T3–T6.
-func (c *CPU) squash(i int, actualTaken bool) {
-	bp := c.robHead + i
-	c.stats.Squashes++
-	c.stats.LastBranchResolution = c.cycle - c.rob[bp].fetchedAt
-	c.met.squashes.Inc()
-	c.met.resolution.ObserveInt(c.stats.LastBranchResolution)
-	c.met.robOcc.Observe(float64(c.robLen))
-	c.emit(KindSquash, bp, int64(c.robLen-i-1))
-
-	// The transient-load list is rebuilt into a reused buffer: no
-	// scheme retains it past OnSquash (the slice contents are copied
-	// into whatever bookkeeping the scheme keeps).
-	transients := c.transientsBuf[:0]
-	inflightCleaned := 0
-	for j := i + 1; j < c.robLen; j++ {
-		p := c.robHead + j
-		e := &c.rob[p]
-		e.set(fSquashed)
-		c.stats.SquashedInst++
-		c.met.squashedInst.Inc()
-		if e.inst.Op != isa.OpLoad || !e.is(fIssued) || e.is(fShadowed) {
+// transientLoads collects the footprint of the issued, visible loads at
+// window positions after i — the wrong path a squash discards — into the
+// reused transients buffer, and counts those still in flight. No scheme
+// retains the list past OnSquash (the slice contents are copied into
+// whatever bookkeeping the scheme keeps).
+func (c *CPU) transientLoads(i int) (transients []undo.TransientLoad, inflight int) {
+	transients = c.transientsBuf[:0]
+	for j := c.nextPos(c.loads, i+1); j < c.robLen; j = c.nextPos(c.loads, j+1) {
+		e := &c.rob[c.slot(j)]
+		if !e.is(fIssued) || e.is(fShadowed) {
 			continue
 		}
 		if !e.is(fDone) || e.doneAt > c.cycle {
-			inflightCleaned++
+			inflight++
 		}
 		if e.access.InstalledL1 || e.access.InstalledL2 {
 			transients = append(transients, undo.TransientLoad{
@@ -723,19 +734,32 @@ func (c *CPU) squash(i int, actualTaken bool) {
 			})
 		}
 	}
-
-	// T4: wait for older in-flight correct-path loads to drain.
-	cleanupStart := c.cycle
-	for j := 0; j <= i; j++ {
-		p := c.robHead + j
-		e := &c.rob[p]
-		if e.is(fIssued) && !e.is(fDone) && e.inst.Op == isa.OpLoad && e.doneAt > cleanupStart {
-			cleanupStart = e.doneAt
-		}
-	}
-
-	c.hier.MSHR().CleanSpeculative(c.rob[bp].seq)
 	c.transientsBuf = transients
+	return transients, inflight
+}
+
+// squash handles a mispredicted branch at window position i: discard the
+// younger entries, hand the transient footprint to the undo scheme, and
+// stall/redirect per the paper's T3–T6.
+func (c *CPU) squash(i int, actualTaken bool) {
+	bp := c.slot(i)
+	squashed := uint64(c.robLen - i - 1)
+	c.stats.Squashes++
+	c.stats.LastBranchResolution = c.cycle - c.rob[bp].fetchedAt
+	c.met.squashes.Inc()
+	c.met.resolution.ObserveInt(c.stats.LastBranchResolution)
+	c.met.robOcc.Observe(float64(c.robLen))
+	c.emit(KindSquash, bp, int64(squashed))
+	c.stats.SquashedInst += squashed
+	c.met.squashedInst.Add(squashed)
+
+	transients, inflightCleaned := c.transientLoads(i)
+
+	// T4, waiting for older in-flight correct-path loads to drain, costs
+	// nothing here: a load is marked done at issue, so cleanup starts at
+	// once.
+	cleanupStart := c.cycle
+	c.hier.MSHR().CleanSpeculative(c.rob[bp].seq)
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
 		Epoch:              c.rob[bp].seq,
 		Now:                c.cycle,
@@ -755,7 +779,7 @@ func (c *CPU) squash(i int, actualTaken bool) {
 	}
 
 	// Discard the wrong path and redirect fetch.
-	c.robLen = i + 1
+	c.discardAfter(i)
 	if actualTaken {
 		c.fetchPC = c.rob[bp].inst.Target
 	} else {
@@ -778,40 +802,19 @@ func (c *CPU) squash(i int, actualTaken bool) {
 // the rollback residue is secret-dependent when the divisor is.
 func (c *CPU) trap() {
 	dp := c.robHead
+	squashed := uint64(c.robLen - 1)
 	c.stats.Squashes++
 	c.stats.LastBranchResolution = c.cycle - c.rob[dp].fetchedAt
 	c.met.squashes.Inc()
 	c.met.resolution.ObserveInt(c.stats.LastBranchResolution)
 	c.met.robOcc.Observe(float64(c.robLen))
-	c.emit(KindSquash, dp, int64(c.robLen-1))
+	c.emit(KindSquash, dp, int64(squashed))
+	c.stats.SquashedInst += squashed
+	c.met.squashedInst.Add(squashed)
 
-	transients := c.transientsBuf[:0]
-	inflightCleaned := 0
-	for j := 1; j < c.robLen; j++ {
-		p := c.robHead + j
-		e := &c.rob[p]
-		e.set(fSquashed)
-		c.stats.SquashedInst++
-		c.met.squashedInst.Inc()
-		if e.inst.Op != isa.OpLoad || !e.is(fIssued) || e.is(fShadowed) {
-			continue
-		}
-		if !e.is(fDone) || e.doneAt > c.cycle {
-			inflightCleaned++
-		}
-		if e.access.InstalledL1 || e.access.InstalledL2 {
-			transients = append(transients, undo.TransientLoad{
-				LineAddr:    e.addr.Line(),
-				InstalledL1: e.access.InstalledL1,
-				InstalledL2: e.access.InstalledL2,
-				HasVictim:   e.access.HasL1Victim && !e.access.L1VictimSpec,
-				VictimAddr:  e.access.L1VictimAddr,
-			})
-		}
-	}
+	transients, inflightCleaned := c.transientLoads(0)
 
 	c.hier.MSHR().CleanSpeculative(c.rob[dp].seq)
-	c.transientsBuf = transients
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
 		Epoch:              c.rob[dp].seq,
 		Now:                c.cycle,
@@ -833,79 +836,45 @@ func (c *CPU) trap() {
 	// The whole window dies with the fault; nothing retires after it.
 	c.robHead = 0
 	c.robLen = 0
+	c.resetSched()
 	c.fetchStopped = true
 	c.trapPending = true
 	c.trapHaltAt = stallEnd
 	c.progressed = true
 }
 
-// issue dispatches ready instructions out of order.
+// issue dispatches ready instructions out of order. It visits, in
+// program order, the entries whose operands are ready among the first
+// IssueWindow unissued ones, up to and including the oldest incomplete
+// fence (everything younger waits for it).
 func (c *CPU) issue() {
 	if c.cycle < c.stallUntil {
 		return
 	}
+	end := c.robLen
+	if c.nFences > 0 {
+		end = c.nextPos(c.fences, 0) + 1
+	}
+	if c.nUnissued > c.cfg.IssueWindow {
+		end = min(end, c.nthPos(c.unissued, c.cfg.IssueWindow)+1)
+	}
 	issued, loads := 0, 0
-	scanned := 0
-	// Incremental dependency trackers, updated as the scan walks the ROB
-	// in program order (each tracker folds in entry i-1 at the top of
-	// iteration i, after that entry's own processing — exactly the state
-	// a per-position rescan would observe). They answer the "does any
-	// older entry ..." questions in O(1) that the rescans answered in
-	// O(ROB), turning the issue stage from quadratic to linear in ROB
-	// occupancy.
-	fenceBlocked := false              // incomplete fence among older entries
-	ubSeq, ubFound := uint64(0), false // youngest older speculation source
-	divIssuedClean := false            // a div proved safe this cycle
-	// lastWriter holds, per register, 1 + the buffer position of its
-	// youngest older producer (0 = none in the window). Positions are
-	// stable within one issue pass: nothing pushes or pops mid-scan.
-	var lastWriter [isa.NumRegs]int32
-	for i := 0; i < c.robLen; i++ {
-		if issued >= c.cfg.IssueWidth {
-			break
-		}
-		p := c.robHead + i
+	divIssuedClean := false // a div proved safe this cycle
+	for i := c.nextPos(c.ready, 0); i < end && issued < c.cfg.IssueWidth; i = c.nextPos(c.ready, i+1) {
+		p := c.slot(i)
 		e := &c.rob[p]
-		if i > 0 {
-			q := p - 1
-			prev := &c.rob[q]
-			qOp := prev.inst.Op
-			if rd, ok := prev.inst.DstReg(); ok {
-				lastWriter[rd] = int32(q) + 1
-			}
-			if qOp == isa.OpFence && !c.completedNow(q) {
-				fenceBlocked = true
-			}
-			if qOp.IsBranch() && !prev.is(fResolved) {
-				ubSeq, ubFound = prev.seq, true
-			}
-			// A divide is a speculation source until it proves its
-			// divisor non-zero at issue: younger loads run in the
-			// exception-transient window of a potential divide fault.
-			if qOp == isa.OpDiv && (!prev.is(fIssued) || prev.is(fFaulting)) {
-				ubSeq, ubFound = prev.seq, true
-			}
-		}
-		if e.is(fIssued) {
-			continue
-		}
-		scanned++
-		if scanned > c.cfg.IssueWindow {
-			break
-		}
-		if fenceBlocked {
-			continue
-		}
 		op := e.inst.Op
 		switch op {
 		case isa.OpFence:
 			// Completes via complete(); takes no issue slot.
 			e.set(fIssued)
+			c.markIssued(p)
 			c.progressed = true
 			continue
 		case isa.OpHalt, isa.OpNop, isa.OpJmp:
 			e.set(fIssued | fDone)
 			e.doneAt = c.cycle
+			c.markIssued(p)
 			c.progressed = true
 			continue
 		case isa.OpRdTSC:
@@ -915,16 +884,15 @@ func (c *CPU) issue() {
 			e.set(fIssued | fDone)
 			e.doneAt = c.cycle + 1
 			e.val = c.cycle
+			c.markIssued(p)
+			c.scheduleDone(p)
 			issued++
 			continue
 		default:
 			// Loads, stores, flushes, branches and ALU ops issue through
 			// the operand path below.
 		}
-		vals, ready := c.operandsVia(&lastWriter, p)
-		if !ready {
-			continue
-		}
+		vals := c.sch[p].opnd
 		e.srcA, e.srcB = vals[0], vals[1]
 		switch op {
 		case isa.OpLoad:
@@ -937,9 +905,15 @@ func (c *CPU) issue() {
 			if c.blockedByOlderStore(i, addr) {
 				continue
 			}
-			epoch, spec := ubSeq, ubFound
-			if spec {
+			// The load's speculation epoch is its youngest older
+			// shadow caster: an unresolved branch, or a divide not yet
+			// proven non-faulting (younger loads run in the exception-
+			// transient window of a potential divide fault).
+			epoch, spec := uint64(0), false
+			if u := c.prevPos(c.casters, i); u >= 0 {
+				epoch, spec = c.rob[c.slot(u)].seq, true
 				e.set(fSpecAtIssue)
+				c.specLoads.set(p)
 			}
 			e.specEpoch = epoch
 			var lat int
@@ -986,6 +960,7 @@ func (c *CPU) issue() {
 					e.set(fFaulting)
 				} else {
 					divIssuedClean = true
+					c.casters.clear(p)
 				}
 			}
 			e.set(fIssued | fDone)
@@ -993,6 +968,8 @@ func (c *CPU) issue() {
 			c.emit(KindIssue, p, int64(lat))
 			issued++
 		}
+		c.markIssued(p)
+		c.scheduleDone(p)
 	}
 	if issued > 0 {
 		c.progressed = true
@@ -1005,50 +982,25 @@ func (c *CPU) issue() {
 	c.met.issued.Add(uint64(issued))
 }
 
-// blockedByOlderStore enforces memory ordering: a load waits for older
-// stores/flushes with unresolved addresses, for older stores to the
-// same word, and for older flushes to the same line.
+// blockedByOlderStore enforces memory ordering: the load at window
+// position i waits for older stores/flushes with unresolved addresses,
+// for older stores to the same word, and for older flushes to the same
+// line.
 func (c *CPU) blockedByOlderStore(i int, addr mem.Addr) bool {
-	for j := 0; j < i; j++ {
-		p := c.robHead + j
-		e := &c.rob[p]
-		switch e.inst.Op {
-		case isa.OpStore:
-			if !e.is(fAddrResolved) || e.addr.WordAlign() == addr.WordAlign() {
+	for j := c.nextPos(c.stores, 0); j < i; j = c.nextPos(c.stores, j+1) {
+		e := &c.rob[c.slot(j)]
+		if !e.is(fAddrResolved) {
+			return true
+		}
+		if e.inst.Op == isa.OpStore {
+			if e.addr.WordAlign() == addr.WordAlign() {
 				return true
 			}
-		case isa.OpFlush:
-			if !e.is(fAddrResolved) || e.addr.SameLine(addr) {
-				return true
-			}
-		default:
-			// Only stores and flushes impose memory ordering on loads.
+		} else if e.addr.SameLine(addr) {
+			return true
 		}
 	}
 	return false
-}
-
-// operandsVia is operand lookup for the issue scan: lastWriter already
-// holds each register's youngest older producer position, so readiness
-// costs O(1) instead of a backward ROB walk. Readiness of the producer
-// is judged at call time (done && doneAt ≤ now).
-func (c *CPU) operandsVia(lastWriter *[isa.NumRegs]int32, p int) ([2]uint64, bool) {
-	var vals [2]uint64
-	for k, r := range c.rob[p].inst.SrcRegs() {
-		if r == isa.Zero {
-			continue
-		}
-		if lw := lastWriter[r]; lw != 0 {
-			prod := &c.rob[int(lw)-1]
-			if !prod.is(fDone) || prod.doneAt > c.cycle {
-				return vals, false
-			}
-			vals[k] = prod.val
-			continue
-		}
-		vals[k] = c.regs[r]
-	}
-	return vals, true
 }
 
 // fetch pulls instructions along the predicted path.
@@ -1073,9 +1025,15 @@ func (c *CPU) fetch() {
 				}
 			}
 		}
-		p := c.pushSlot()
-		c.rob[p] = entry{seq: c.nextSeq, idx: idx, inst: inst, fetchedAt: c.cycle}
+		p := c.slot(c.robLen)
+		c.robLen++
+		// Zero the slot in place and fill it: a composite-literal
+		// assignment would build the entry in a temporary and copy it.
+		e := &c.rob[p]
+		*e = entry{}
+		e.seq, e.idx, e.inst, e.fetchedAt = c.nextSeq, idx, inst, c.cycle
 		c.nextSeq++
+		c.dispatch(p)
 		c.stats.Fetched++
 		c.met.fetched.Inc()
 		c.progressed = true
@@ -1090,7 +1048,7 @@ func (c *CPU) fetch() {
 		case inst.Op.IsBranch():
 			pred := c.pred.Predict(idx)
 			if pred.Taken {
-				c.rob[p].set(fPredTaken)
+				e.set(fPredTaken)
 				c.fetchPC = inst.Target
 			} else {
 				c.fetchPC = idx + 1

@@ -64,15 +64,18 @@ func (c *CPU) SaveState() *State {
 		runStartCycle:   c.runStartCycle,
 		runStartRetired: c.runStartRetired,
 	}
-	copy(st.rob, c.rob[c.robHead:c.robHead+c.robLen])
+	n := copy(st.rob, c.rob[c.robHead:min(c.robHead+c.robLen, len(c.rob))])
+	copy(st.rob[n:], c.rob)
 	return st
 }
 
-// RestoreState rewinds the core to a state saved from the same core.
-// ROB entries are copied to the front of the core's buffer, so a warm
-// restore does not allocate. Observers are untouched: the tracer
-// and flight recorder keep recording across the rewind (fork-safety
-// rules in docs/SNAPSHOTS.md).
+// RestoreState rewinds the core to a state saved from the same core, or
+// from a core of the same configuration. ROB entries are copied to the
+// front of the core's ring, and the event-side state (rename table,
+// dependents lists, bitmaps, completion heap) is rebuilt from them in
+// one pass, so a warm restore does not allocate. Observers are
+// untouched: the tracer and flight recorder keep recording across the
+// rewind (fork-safety rules in docs/SNAPSHOTS.md).
 func (c *CPU) RestoreState(st *State) {
 	c.robHead = 0
 	c.robLen = copy(c.rob, st.rob)
@@ -92,4 +95,5 @@ func (c *CPU) RestoreState(st *State) {
 	c.runStartCycle = st.runStartCycle
 	c.runStartRetired = st.runStartRetired
 	c.progressed = false
+	c.rebuild()
 }

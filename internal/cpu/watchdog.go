@@ -78,8 +78,8 @@ func (c *CPU) PostMortem() PostMortem {
 		LastBranchResolution: c.stats.LastBranchResolution,
 		LastCleanupStall:     c.stats.LastCleanupStall,
 	}
-	for p := c.robHead; p < c.robHead+c.robLen; p++ {
-		if c.rob[p].inst.Op == isa.OpLoad && c.rob[p].is(fIssued) && !c.completedNow(p) {
+	for i := c.nextPos(c.loads, 0); i < c.robLen; i = c.nextPos(c.loads, i+1) {
+		if e := &c.rob[c.slot(i)]; e.is(fIssued) && e.doneAt > c.cycle {
 			pm.InflightLoads++
 		}
 	}
