@@ -32,7 +32,7 @@ figures:
 	go run ./cmd/figures -out results
 
 report:
-	go run ./cmd/report -quick
+	go run ./cmd/report
 
 attack:
 	go run ./cmd/unxpec -bits 1000 -evict

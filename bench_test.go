@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/evict"
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/noise"
@@ -23,6 +24,37 @@ import (
 	"repro/internal/workload"
 )
 
+// newRunner returns an in-memory harness runner for the sweeps.
+func newRunner(tb testing.TB) *harness.Runner {
+	r, err := harness.New(harness.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// sweepOK fails the benchmark when a sweep errored or left a gap.
+func sweepOK(tb testing.TB, rep *harness.Report, err error) {
+	tb.Helper()
+	if err == nil {
+		err = rep.Err()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// measure runs one attack round, failing the benchmark on a watchdog
+// trip.
+func measure(tb testing.TB, a *unxpec.Attack, secret int) uint64 {
+	tb.Helper()
+	lat, err := a.MeasureOnceChecked(secret)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lat
+}
+
 // BenchmarkTableIConfig measures raw simulator speed on the Table I
 // machine: cycles simulated per wall-clock second while running the
 // stream workload.
@@ -31,7 +63,10 @@ func BenchmarkTableIConfig(b *testing.B) {
 	var cycles uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := workload.Run(w, undo.NewCleanupSpec(), 1)
+		r, err := workload.RunChecked(w, undo.NewCleanupSpec(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		cycles += r.Stats.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
@@ -40,9 +75,11 @@ func BenchmarkTableIConfig(b *testing.B) {
 // BenchmarkFigure2BranchResolution reproduces the resolution-time study
 // and reports the N=1 mean resolution.
 func BenchmarkFigure2BranchResolution(b *testing.B) {
+	r := newRunner(b)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.Figure2(int64(i + 1))
+		pts, rep, err := experiments.Figure2With(r, int64(i+1))
+		sweepOK(b, rep, err)
 		var sum float64
 		var n int
 		for _, p := range pts {
@@ -63,7 +100,7 @@ func BenchmarkFigure3TimingDifference(b *testing.B) {
 	var diff int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diff = int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		diff = int64(measure(b, a, 1)) - int64(measure(b, a, 0))
 	}
 	b.ReportMetric(float64(diff), "diff-cycles")
 }
@@ -75,7 +112,7 @@ func BenchmarkFigure6EvictionSets(b *testing.B) {
 	var diff int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diff = int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		diff = int64(measure(b, a, 1)) - int64(measure(b, a, 0))
 	}
 	b.ReportMetric(float64(diff), "diff-cycles")
 }
@@ -84,9 +121,11 @@ func BenchmarkFigure6EvictionSets(b *testing.B) {
 // eviction sets and reports the mean difference (paper: ≈22).
 func BenchmarkFigure7PDF(b *testing.B) {
 	var diff float64
+	r := newRunner(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure7(int64(i+1), 200)
-		diff = r.Diff
+		res, rep, err := experiments.Figure7With(r, int64(i+1), 200)
+		sweepOK(b, rep, err)
+		diff = res.Diff
 	}
 	b.ReportMetric(diff, "diff-cycles")
 }
@@ -95,9 +134,11 @@ func BenchmarkFigure7PDF(b *testing.B) {
 // (paper: ≈32).
 func BenchmarkFigure8PDF(b *testing.B) {
 	var diff float64
+	r := newRunner(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure8(int64(i+1), 200)
-		diff = r.Diff
+		res, rep, err := experiments.Figure8With(r, int64(i+1), 200)
+		sweepOK(b, rep, err)
+		diff = res.Diff
 	}
 	b.ReportMetric(diff, "diff-cycles")
 }
@@ -113,9 +154,11 @@ func BenchmarkFigure9SecretGeneration(b *testing.B) {
 // without eviction sets and reports accuracy (paper: 86.7%).
 func BenchmarkFigure10SecretLeakage(b *testing.B) {
 	var acc float64
+	r := newRunner(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure10(int64(i+1), 300)
-		acc = r.Accuracy
+		res, rep, err := experiments.Figure10With(r, int64(i+1), 300)
+		sweepOK(b, rep, err)
+		acc = res.Accuracy
 	}
 	b.ReportMetric(100*acc, "accuracy-%")
 }
@@ -124,9 +167,11 @@ func BenchmarkFigure10SecretLeakage(b *testing.B) {
 // (paper: 91.6%).
 func BenchmarkFigure11SecretLeakageES(b *testing.B) {
 	var acc float64
+	r := newRunner(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure11(int64(i+1), 300)
-		acc = r.Accuracy
+		res, rep, err := experiments.Figure11With(r, int64(i+1), 300)
+		sweepOK(b, rep, err)
+		acc = res.Accuracy
 	}
 	b.ReportMetric(100*acc, "accuracy-%")
 }
@@ -136,6 +181,9 @@ func BenchmarkLeakageRate(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.LeakageRate(int64(i+1), 50, false)
+		if r.Rounds < 50 {
+			b.Fatalf("only %d of 50 attack rounds completed", r.Rounds)
+		}
 		rate = r.SamplesPerSecond
 	}
 	b.ReportMetric(rate, "samples/s")
@@ -145,9 +193,11 @@ func BenchmarkLeakageRate(b *testing.B) {
 // reduced scale and reports the const-65 mean (paper: 72.8%).
 func BenchmarkFigure12ConstantTime(b *testing.B) {
 	var c65 float64
+	r := newRunner(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure12(int64(i+1), 1500)
-		c65 = r.MeanOverhead["const-65"]
+		res, rep, err := experiments.Figure12With(r, int64(i+1), 1500)
+		sweepOK(b, rep, err)
+		c65 = res.MeanOverhead["const-65"]
 	}
 	b.ReportMetric(100*c65, "const65-overhead-%")
 }
@@ -155,9 +205,11 @@ func BenchmarkFigure12ConstantTime(b *testing.B) {
 // BenchmarkFigure13HostResolution reproduces the host-profile study and
 // reports the N=1 mean resolution.
 func BenchmarkFigure13HostResolution(b *testing.B) {
+	r := newRunner(b)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.Figure13(int64(i + 1))
+		pts, rep, err := experiments.Figure13With(r, int64(i+1))
+		sweepOK(b, rep, err)
 		var sum float64
 		var n int
 		for _, p := range pts {
@@ -182,7 +234,7 @@ func BenchmarkAblationRestorationOff(b *testing.B) {
 	var diff int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diff = int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		diff = int64(measure(b, a, 1)) - int64(measure(b, a, 0))
 	}
 	b.ReportMetric(float64(diff), "diff-cycles")
 }
@@ -218,7 +270,7 @@ func BenchmarkAblationConstantTimeStrict(b *testing.B) {
 		scheme := undo.NewConstantTime(25, undo.Strict)
 		a := unxpec.MustNew(unxpec.Options{Seed: int64(i + 1), LoadsInBranch: 8,
 			UseEvictionSets: true, Scheme: scheme})
-		a.MeasureOnce(1)
+		measure(b, a, 1)
 		residual = float64(scheme.Stats().TotalResidual)
 	}
 	b.ReportMetric(residual, "residual-lines")
@@ -260,7 +312,7 @@ func BenchmarkAblationFenceRemoval(b *testing.B) {
 	lats := make([]float64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lats = append(lats, float64(a.MeasureOnce(0)))
+		lats = append(lats, float64(measure(b, a, 0)))
 	}
 	s := stats.Summarize(lats)
 	b.ReportMetric(s.Std, "fenced-std-cycles")

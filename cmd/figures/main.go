@@ -24,8 +24,9 @@
 // key matches.
 //
 // Exit codes follow the harness taxonomy: 0 ok, 1 infrastructure,
-// 2 usage, 3 timeout gaps, 4 panic gaps, 5 other gaps, 6 interrupted
-// (resumable).
+// 2 usage, 3 timeout gaps, 4 panic gaps, 5 other gaps (or a failed
+// minconst or rate measurement, which run outside the harness),
+// 6 interrupted (resumable).
 package main
 
 import (
@@ -98,9 +99,10 @@ func main() {
 	}
 
 	var (
-		reports  []*harness.Report
-		infraErr bool
-		saveErr  bool
+		reports    []*harness.Report
+		infraErr   bool
+		saveErr    bool
+		measureErr bool // a measurement outside the harness failed
 	)
 	// note records a sweep's report for the final exit code and prints
 	// its gaps; it returns true when every cell produced a value.
@@ -252,8 +254,14 @@ func main() {
 
 	if run("rate") {
 		fmt.Println("\n== §VI-B: leakage rate ==")
+		const rounds = 200
 		for _, es := range []bool{false, true} {
-			r := experiments.LeakageRate(*seed, 200, es)
+			r := experiments.LeakageRate(*seed, rounds, es)
+			if r.Rounds < rounds {
+				fmt.Fprintf(os.Stderr, "  FAILED rate (eviction sets %v): only %d of %d attack rounds completed\n", es, r.Rounds, rounds)
+				measureErr = true
+				continue
+			}
 			fmt.Printf("  eviction sets %-5v: %.0f samples/s ≈ %.0f Kbps at 1 sample/bit (paper: ≈140 Kbps)\n",
 				es, r.SamplesPerSecond, r.BitsPerSecond/1000)
 		}
@@ -337,12 +345,16 @@ func main() {
 
 	if run("minconst") {
 		fmt.Println("\n== Extension: minimal safe constant vs attacker strength (§VI-E) ==")
-		mc := experiments.MinimalSafeConstant(*seed, 8, 0.01)
+		mc, err := experiments.MinimalSafeConstantChecked(*seed, 8, 0.01)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "  FAILED minconst after %d point(s): %v\n", len(mc), err)
+			measureErr = true
+		}
 		for _, p := range mc {
 			fmt.Printf("  %d load(s): worst-case rollback %2d cycles → minimal closing constant %2d (≈%.0f%% overhead)\n",
 				p.Loads, p.WorstStall, p.MinSafeConst, 100*p.OverheadAtConst)
 		}
-		save("minconst", experiments.MinConstCSV(mc), true)
+		save("minconst", experiments.MinConstCSV(mc), err == nil)
 		fmt.Println("  the defender must budget for the strongest attacker — the paper's point")
 		fmt.Println("  that choosing the constant is hard (§VI-E).")
 	}
@@ -390,7 +402,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures: closing journal:", err)
 		infraErr = true
 	}
-	os.Exit(campaignExit(reports, infraErr, saveErr))
+	os.Exit(campaignExit(reports, measureErr, infraErr, saveErr))
 }
 
 // writeMetrics dumps the campaign registry rollup as indented JSON.
@@ -407,9 +419,10 @@ func writeMetrics(path string, reg *telemetry.Registry) error {
 }
 
 // campaignExit folds every sweep report into one exit code: an
-// interrupted (resumable) campaign wins, then the worst failure class,
-// then infrastructure problems, then 0.
-func campaignExit(reports []*harness.Report, infraErr, saveErr bool) int {
+// interrupted (resumable) campaign wins, then the worst failure class
+// (a failed measurement outside the harness counts as ExitError), then
+// infrastructure problems, then 0.
+func campaignExit(reports []*harness.Report, measureErr, infraErr, saveErr bool) int {
 	rank := func(code int) int {
 		switch code {
 		case harness.ExitPanic:
@@ -422,6 +435,9 @@ func campaignExit(reports []*harness.Report, infraErr, saveErr bool) int {
 		return 0
 	}
 	code := harness.ExitOK
+	if measureErr {
+		code = harness.ExitError
+	}
 	gaps := 0
 	for _, rep := range reports {
 		c := rep.ExitCode()

@@ -1,14 +1,15 @@
 // Command report reruns the paper's entire evaluation and scores every
 // headline quantity against its acceptance band — the repository's
 // one-shot artifact evaluation. Exit status is nonzero if any band
-// fails, so CI can gate on reproduction fidelity. The whole evaluation
+// fails or any measurement behind a band fails (a failed sweep cell,
+// a watchdog trip), so CI can gate on reproduction fidelity. The whole evaluation
 // runs with a campaign telemetry registry attached; the machine-level
 // rollup (squash counts, rollback-stall mode, cache traffic) is
 // rendered as a metrics table after the band table.
 //
 // Usage:
 //
-//	report [-quick] [-seed S] [-o FILE] [-no-metrics]
+//	report [-seed S] [-o FILE] [-no-metrics]
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 
 func main() {
 	var (
-		quick     = flag.Bool("quick", false, "reduced sample counts (about 1.5 s instead of 5 s on 2 vCPUs)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		out       = flag.String("o", "", "also write the markdown report to this file")
 		noMetrics = flag.Bool("no-metrics", false, "skip the campaign metrics table")
@@ -42,7 +42,11 @@ func main() {
 	}
 
 	fmt.Println("Rerunning the unXpec evaluation against the paper's bands...")
-	bands := experiments.ReproductionReportWith(runner, *seed, *quick)
+	bands, err := experiments.ReproductionReportWith(runner, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "report: measurement failed, no band scored:", err)
+		os.Exit(1)
+	}
 
 	var sinks []io.Writer = []io.Writer{os.Stdout}
 	if *out != "" {

@@ -42,12 +42,19 @@ func main() {
 	}
 
 	// Warm up: one untraced round trains the predictor and caches.
-	attack.MeasureOnce(*secret)
+	if _, err := attack.MeasureOnceChecked(*secret); err != nil {
+		fmt.Fprintln(os.Stderr, "trace: warm-up round:", err)
+		os.Exit(1)
+	}
 
 	buf := trace.NewBuffer()
 	attack.Core().SetTracer(buf)
-	lat := attack.MeasureOnce(*secret)
+	lat, err := attack.MeasureOnceChecked(*secret)
 	attack.Core().SetTracer(nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace: traced round:", err)
+		os.Exit(1)
+	}
 	res, clean := attack.LastSquashStats()
 
 	fmt.Printf("secret=%d: observed latency %d cycles (resolution %d, cleanup stall %d)\n\n",

@@ -67,7 +67,11 @@ func main() {
 		fmt.Printf("eviction sets : %v (%d primed lines)\n", *useEvict, len(attack.PrimeLines()))
 		fmt.Printf("calibrating threshold over 300 samples per secret value...\n")
 	}
-	cal := attack.Calibrate(300)
+	cal, err := attack.CalibrateChecked(300)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "unxpec: calibration:", err)
+		os.Exit(1)
+	}
 	if !*quiet {
 		fmt.Printf("secret-0 mean %.1f cycles, secret-1 mean %.1f cycles, difference %.1f\n",
 			cal.Mean0, cal.Mean1, cal.Diff)
@@ -75,7 +79,11 @@ func main() {
 	}
 
 	secret := unxpec.RandomSecret(*bits, *seed+200)
-	res := attack.LeakSecret(secret, cal.Threshold, *spb)
+	res, err := attack.LeakSecretChecked(secret, cal.Threshold, *spb)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "unxpec: leak:", err)
+		os.Exit(1)
+	}
 	rate := attack.LeakageRate(2.0)
 
 	fmt.Printf("leaked %d bits at %d sample(s)/bit: accuracy %.1f%%, ≈%.0f Kbps on a 2 GHz core\n",

@@ -33,7 +33,10 @@ func main() {
 		*msg, 8*len(*msg))
 
 	fmt.Println("calibrating decision threshold...")
-	cal := attack.Calibrate(300)
+	cal, err := attack.CalibrateChecked(300)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  secret-dependent difference %.1f cycles, threshold %.0f\n", cal.Diff, cal.Threshold)
 
 	bits := unxpec.BytesToBits([]byte(*msg))
@@ -41,10 +44,16 @@ func main() {
 	var accuracy float64
 	if *ecc {
 		var corrections int
-		decodedBits, accuracy, corrections = attack.LeakSecretECC(bits, cal.Threshold, *spb)
+		decodedBits, accuracy, corrections, err = attack.LeakSecretECC(bits, cal.Threshold, *spb)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  Hamming(7,4) corrected %d code-bit error(s)\n", corrections)
 	} else {
-		res := attack.LeakSecret(bits, cal.Threshold, *spb)
+		res, err := attack.LeakSecretChecked(bits, cal.Threshold, *spb)
+		if err != nil {
+			log.Fatal(err)
+		}
 		decodedBits, accuracy = res.Guesses, res.Accuracy
 	}
 	decoded := unxpec.BitsToBytes(decodedBits)

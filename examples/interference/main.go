@@ -37,7 +37,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		lat1, err := a.MeasureOnceChecked(1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		lat0, err := a.MeasureOnceChecked(0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		d := int64(lat1) - int64(lat0)
 		fmt.Printf("  %-36s secret-dependent delay %2d cycles → LEAKS\n", tc.name, d)
 	}
 	fmt.Println()

@@ -31,7 +31,7 @@ func main() {
 	// Baseline cycles per workload.
 	base := map[string]uint64{}
 	for _, w := range suite {
-		base[w.Name] = workload.Run(w, undo.NewUnsafe(), 1).Stats.Cycles
+		base[w.Name] = cycles(w, undo.NewUnsafe())
 	}
 
 	for _, spec := range specs {
@@ -51,15 +51,14 @@ func main() {
 		var d float64
 		const rounds = 8
 		for i := 0; i < rounds; i++ {
-			d += float64(attack.MeasureOnce(1)) - float64(attack.MeasureOnce(0))
+			d += float64(measure(attack, 1)) - float64(measure(attack, 0))
 		}
 		d /= rounds
 
 		// Overhead across the suite.
 		var sum float64
 		for _, w := range suite {
-			run := workload.Run(w, mk(), 1)
-			sum += float64(run.Stats.Cycles)/float64(base[w.Name]) - 1
+			sum += float64(cycles(w, mk()))/float64(base[w.Name]) - 1
 		}
 		overhead := sum / float64(len(suite))
 
@@ -75,4 +74,23 @@ func main() {
 	fmt.Println("rollback closes the channel only at the worst-case constant, whose")
 	fmt.Println("overhead the paper measures at 22.4%→72.8% (Figure 12); fuzzy time")
 	fmt.Println("narrows the channel at a fraction of that cost (§VII future work).")
+}
+
+// cycles runs w under scheme on a fresh machine and returns its cycle
+// count; a watchdog trip ends the demo rather than skewing a mean.
+func cycles(w workload.Workload, scheme undo.Scheme) uint64 {
+	run, err := workload.RunChecked(w, scheme, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return run.Stats.Cycles
+}
+
+// measure runs one attack round and returns the observed latency.
+func measure(a *unxpec.Attack, secret int) uint64 {
+	lat, err := a.MeasureOnceChecked(secret)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return lat
 }

@@ -24,12 +24,18 @@ func main() {
 	fmt.Println("unXpec quickstart: one transient load against CleanupSpec")
 	fmt.Println()
 
-	lat0 := attack.MeasureOnce(0)
+	lat0, err := attack.MeasureOnceChecked(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res0, clean0 := attack.LastSquashStats()
 	fmt.Printf("secret = 0: observed latency %3d cycles (branch resolved in %d, cleanup stalled %d)\n",
 		lat0, res0, clean0)
 
-	lat1 := attack.MeasureOnce(1)
+	lat1, err := attack.MeasureOnceChecked(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res1, clean1 := attack.LastSquashStats()
 	fmt.Printf("secret = 1: observed latency %3d cycles (branch resolved in %d, cleanup stalled %d)\n",
 		lat1, res1, clean1)

@@ -38,9 +38,15 @@ func main() {
 
 	fmt.Println("3) unXpec vs CLEANUPSPEC: measure the rollback itself")
 	a3 := unxpec.MustNew(unxpec.Options{Seed: 3, UseEvictionSets: true})
-	cal := a3.Calibrate(50)
+	cal, err := a3.CalibrateChecked(50)
+	if err != nil {
+		log.Fatal(err)
+	}
 	bits := unxpec.BytesToBits(secret)
-	res := a3.LeakSecret(bits, cal.Threshold, 1)
+	res, err := a3.LeakSecretChecked(bits, cal.Threshold, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("   leaked %q (bit accuracy %.1f%%) — the cleanup *time* leaks what the\n",
 		unxpec.BitsToBytes(res.Guesses), 100*res.Accuracy)
 	fmt.Println("   cleanup *state* hides: breaking Undo-based safe speculation.")

@@ -15,7 +15,9 @@ func BenchmarkSimulatorRawSpeed(b *testing.B) {
 	start := a.Core().Cycle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.MeasureOnce(i % 2)
+		if _, err := a.MeasureOnceChecked(i % 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(a.Core().Cycle()-start)/float64(b.N), "sim-cycles/op")
 }

@@ -19,16 +19,10 @@ type InterferenceRow struct {
 	Leaks bool
 }
 
-// InterferenceStudy measures the MSHR-contention channel against every
-// defense family: it breaks Invisible schemes (the paper's premise) and
-// is untouched by rollback-time fixes.
-func InterferenceStudy(seed int64, rounds int) ([]InterferenceRow, error) {
-	rows, _, err := InterferenceStudyWith(nil, seed, rounds)
-	return rows, err
-}
-
-// InterferenceStudyWith is InterferenceStudy on an explicit harness
-// runner, one cell per scheme.
+// InterferenceStudyWith measures the MSHR-contention channel against
+// every defense family, one cell per scheme: it breaks Invisible
+// schemes (the paper's premise) and is untouched by rollback-time
+// fixes.
 func InterferenceStudyWith(r *harness.Runner, seed int64, rounds int) ([]InterferenceRow, *harness.Report, error) {
 	mk := []struct {
 		name string
@@ -83,16 +77,10 @@ type CrossCoreRow struct {
 	Leaks        bool
 }
 
-// CrossCoreStudy runs the §II-B scenario matrix: {unsafe, CleanupSpec}
-// × {secret 0, secret 1}, a concurrent Flush+Reload prober against the
-// victim's speculation window through the shared L2.
-func CrossCoreStudy(seed int64, rounds, probes int) ([]CrossCoreRow, error) {
-	rows, _, err := CrossCoreStudyWith(nil, seed, rounds, probes)
-	return rows, err
-}
-
-// CrossCoreStudyWith is CrossCoreStudy on an explicit harness runner,
-// one cell per machine × secret. Lockstep watchdog trips inside
+// CrossCoreStudyWith runs the §II-B scenario matrix: {unsafe,
+// CleanupSpec} × {secret 0, secret 1}, a concurrent Flush+Reload prober
+// against the victim's speculation window through the shared L2, one
+// cell per machine × secret. Lockstep watchdog trips inside
 // multicore.CrossCoreProbe arrive wrapped around cpu.ErrWatchdog and
 // classify as timeouts.
 func CrossCoreStudyWith(r *harness.Runner, seed int64, rounds, probes int) ([]CrossCoreRow, *harness.Report, error) {

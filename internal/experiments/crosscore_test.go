@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestCrossCoreStudyMatrix(t *testing.T) {
-	rows, err := CrossCoreStudy(3, 600, 250)
+	rows, err := whole(CrossCoreStudyWith(newRunner(t), 3, 600, 250))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCrossCoreStudyMatrix(t *testing.T) {
 }
 
 func TestInterferenceStudy(t *testing.T) {
-	rows, err := InterferenceStudy(4, 3)
+	rows, err := whole(InterferenceStudyWith(newRunner(t), 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

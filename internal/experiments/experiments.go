@@ -5,10 +5,11 @@
 //
 // Every sweep executes on internal/harness (see sweep.go): panics are
 // contained, watchdog trips are classified errors, and failed cells
-// become recorded gaps instead of aborted campaigns. The plain entry
-// points here keep their historical signatures and run on the default
-// in-memory runner; campaign drivers (cmd/figures) use the *With
-// variants with a journaled runner for retries and resume.
+// become recorded gaps instead of aborted campaigns. Each experiment
+// has exactly one entry point, and each reports its failures: a sweep
+// returns its harness.Report, MinimalSafeConstantChecked an error, and
+// LeakageRate a short Rounds count. No failure reaches a caller as a
+// clean-looking number.
 package experiments
 
 import (
@@ -48,39 +49,11 @@ type ResolutionPoint struct {
 	Resolution float64
 }
 
-// Figure2 reproduces the branch-resolution study on the simulated
-// CleanupSpec machine: resolution is flat in the number of in-branch
-// loads and the secret, and scales with f(N).
-func Figure2(seed int64) []ResolutionPoint {
-	pts, _, _ := Figure2With(nil, seed)
-	return pts
-}
-
-// Figure13 repeats the study on the "real CPU" host profile: larger
-// caches, deeper memory, OS-grade noise (i7-8550U stand-in).
-func Figure13(seed int64) []ResolutionPoint {
-	pts, _, _ := Figure13With(nil, seed)
-	return pts
-}
-
 // DiffPoint is one Figure 3 / Figure 6 sample: the secret-dependent
 // timing difference at a given number of squashed (transient) loads.
 type DiffPoint struct {
 	Loads int
 	Diff  float64
-}
-
-// Figure3 reproduces the rollback timing difference without eviction
-// sets (≈22 cycles, shallow growth).
-func Figure3(seed int64) []DiffPoint {
-	pts, _, _ := Figure3With(nil, seed)
-	return pts
-}
-
-// Figure6 reproduces it with eviction sets (≈32 → ≈64 cycles).
-func Figure6(seed int64) []DiffPoint {
-	pts, _, _ := Figure6With(nil, seed)
-	return pts
 }
 
 // PDFResult carries a Figure 7 / Figure 8 distribution pair.
@@ -93,18 +66,6 @@ type PDFResult struct {
 	TrainAccuracy          float64
 }
 
-// Figure7 reproduces the no-eviction-set latency PDFs (Δ≈22 cycles).
-func Figure7(seed int64, samples int) PDFResult {
-	r, _, _ := Figure7With(nil, seed, samples)
-	return r
-}
-
-// Figure8 reproduces the eviction-set latency PDFs (Δ≈32 cycles).
-func Figure8(seed int64, samples int) PDFResult {
-	r, _, _ := Figure8With(nil, seed, samples)
-	return r
-}
-
 // Figure9 returns the random 1,000-bit secret instance.
 func Figure9(bits int, seed int64) []int { return unxpec.RandomSecret(bits, seed) }
 
@@ -115,23 +76,16 @@ type LeakageResult struct {
 	Rate      unxpec.RateReport
 }
 
-// Figure10 reproduces secret leakage without eviction sets (≈86.7%).
-func Figure10(seed int64, bits int) LeakageResult {
-	r, _, _ := Figure10With(nil, seed, bits)
-	return r
-}
-
-// Figure11 reproduces it with eviction sets (≈91.6%).
-func Figure11(seed int64, bits int) LeakageResult {
-	r, _, _ := Figure11With(nil, seed, bits)
-	return r
-}
-
-// LeakageRate reproduces §VI-B: the sample rate on a 2 GHz clock.
+// LeakageRate reproduces §VI-B: the sample rate on a 2 GHz clock over
+// the given number of alternating-secret rounds. It stops at the first
+// round that fails, so a report with fewer than the requested Rounds
+// is a failed measurement, not a slower channel.
 func LeakageRate(seed int64, rounds int, evictionSets bool) unxpec.RateReport {
 	a := unxpec.MustNew(unxpec.Options{Seed: seed, UseEvictionSets: evictionSets})
 	for i := 0; i < rounds; i++ {
-		a.MeasureOnce(i % 2)
+		if _, err := a.MeasureOnceChecked(i % 2); err != nil {
+			break
+		}
 	}
 	return a.LeakageRate(2.0)
 }
@@ -156,14 +110,6 @@ type Figure12Result struct {
 	Workloads    []string
 }
 
-// Figure12 runs the benchmark suite under the scheme ladder. scale
-// controls dynamic instruction counts; 10_000 reproduces the published
-// shape in seconds, larger values sharpen the averages.
-func Figure12(seed int64, scale int) Figure12Result {
-	r, _, _ := Figure12With(nil, seed, scale)
-	return r
-}
-
 // MitigationPoint summarizes one scheme of the extension study: fuzzy-
 // time dummy delays (§VII future work) versus constant-time rollback.
 type MitigationPoint struct {
@@ -173,12 +119,4 @@ type MitigationPoint struct {
 	ResidualDiff float64
 	// MeanOverhead is the Figure 12-style cost on the suite.
 	MeanOverhead float64
-}
-
-// MitigationStudy compares constant-time rollback with the paper's
-// proposed fuzzy-time defense on both axes: residual channel width and
-// performance overhead.
-func MitigationStudy(seed int64, scale, rounds int) []MitigationPoint {
-	pts, _, _ := MitigationStudyWith(nil, seed, scale, rounds)
-	return pts
 }

@@ -3,7 +3,19 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
+
+// newRunner returns an in-memory harness runner with default settings.
+func newRunner(t *testing.T) *harness.Runner {
+	t.Helper()
+	r, err := harness.New(harness.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestTableIMatchesPaper(t *testing.T) {
 	rows := TableI()
@@ -25,7 +37,10 @@ func TestTableIMatchesPaper(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	pts := Figure2(1)
+	pts, err := whole(Figure2With(newRunner(t), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3*5*2 {
 		t.Fatalf("point count %d", len(pts))
 	}
@@ -54,7 +69,10 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3And6Shapes(t *testing.T) {
-	f3 := Figure3(2)
+	f3, err := whole(Figure3With(newRunner(t), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f3) != 8 {
 		t.Fatalf("figure 3 points %d", len(f3))
 	}
@@ -64,7 +82,10 @@ func TestFigure3And6Shapes(t *testing.T) {
 	if d := f3[7].Diff; d < f3[0].Diff || d > f3[0].Diff+8 {
 		t.Errorf("figure 3 growth %.1f → %.1f, want shallow", f3[0].Diff, f3[7].Diff)
 	}
-	f6 := Figure6(2)
+	f6, err := whole(Figure6With(newRunner(t), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := f6[0].Diff; d < 30 || d > 34 {
 		t.Errorf("figure 6 single-load diff %.1f, want ≈32", d)
 	}
@@ -79,11 +100,17 @@ func TestFigure3And6Shapes(t *testing.T) {
 }
 
 func TestFigure7And8Distributions(t *testing.T) {
-	f7 := Figure7(3, 150)
+	f7, err := whole(Figure7With(newRunner(t), 3, 150))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f7.Diff < 18 || f7.Diff > 27 {
 		t.Errorf("figure 7 diff %.1f, want ≈22", f7.Diff)
 	}
-	f8 := Figure8(3, 150)
+	f8, err := whole(Figure8With(newRunner(t), 3, 150))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f8.Diff < 28 || f8.Diff > 37 {
 		t.Errorf("figure 8 diff %.1f, want ≈32", f8.Diff)
 	}
@@ -126,11 +153,17 @@ func TestFigure9Reproducible(t *testing.T) {
 }
 
 func TestFigure10And11Accuracy(t *testing.T) {
-	f10 := Figure10(4, 400)
+	f10, err := whole(Figure10With(newRunner(t), 4, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f10.Accuracy < 0.80 || f10.Accuracy > 0.93 {
 		t.Errorf("figure 10 accuracy %.3f, want ≈0.867", f10.Accuracy)
 	}
-	f11 := Figure11(4, 400)
+	f11, err := whole(Figure11With(newRunner(t), 4, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f11.Accuracy < 0.87 || f11.Accuracy > 0.98 {
 		t.Errorf("figure 11 accuracy %.3f, want ≈0.916", f11.Accuracy)
 	}
@@ -144,6 +177,9 @@ func TestFigure10And11Accuracy(t *testing.T) {
 
 func TestLeakageRateBand(t *testing.T) {
 	r := LeakageRate(5, 60, false)
+	if r.Rounds != 60 {
+		t.Fatalf("%d of 60 rounds completed", r.Rounds)
+	}
 	if r.SamplesPerSecond < 100_000 || r.SamplesPerSecond > 200_000 {
 		t.Errorf("rate %.0f samples/s, want ≈140k", r.SamplesPerSecond)
 	}
@@ -159,7 +195,10 @@ func TestFigure12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 12 sweep is slow")
 	}
-	r := Figure12(6, 2500)
+	r, err := whole(Figure12With(newRunner(t), 6, 2500))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Workloads) != 8 || len(r.Schemes) != 7 {
 		t.Fatalf("dimensions %dx%d", len(r.Workloads), len(r.Schemes))
 	}
@@ -190,7 +229,10 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure13HostProfile(t *testing.T) {
-	pts := Figure13(7)
+	pts, err := whole(Figure13With(newRunner(t), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 30 {
 		t.Fatalf("points %d", len(pts))
 	}
@@ -218,7 +260,10 @@ func TestFigure13HostProfile(t *testing.T) {
 }
 
 func TestMitigationStudy(t *testing.T) {
-	pts := MitigationStudy(8, 1500, 16)
+	pts, err := whole(MitigationStudyWith(newRunner(t), 8, 1500, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points %d", len(pts))
 	}

@@ -23,19 +23,15 @@ type MinConstPoint struct {
 	OverheadAtConst float64
 }
 
-// MinimalSafeConstant sweeps attacker strengths and, for each, searches
-// for the minimal closing constant by binary search over live attack
-// rounds. overheadPerCycle converts a constant to the expected mean
-// suite overhead (measured ≈1% per cycle of constant at the calibrated
-// squash density; pass 0 to skip the estimate).
-func MinimalSafeConstant(seed int64, maxLoads int, overheadPerCycle float64) []MinConstPoint {
-	pts, _ := MinimalSafeConstantChecked(seed, maxLoads, overheadPerCycle)
-	return pts
-}
-
-// MinimalSafeConstantChecked is MinimalSafeConstant with watchdog trips
-// surfaced: a timed-out round returns latency 0 for both secrets, which
-// the unchecked comparison would misread as "channel closed".
+// MinimalSafeConstantChecked sweeps attacker strengths and, for each,
+// searches for the minimal closing constant by binary search over live
+// attack rounds. overheadPerCycle converts a constant to the expected
+// mean suite overhead (measured ≈1% per cycle of constant at the
+// calibrated squash density; pass 0 to skip the estimate).
+//
+// A failed round ends the sweep with its error and the points found so
+// far: a timed-out round reads latency 0 for both secrets, which the
+// comparison would otherwise misread as "channel closed".
 func MinimalSafeConstantChecked(seed int64, maxLoads int, overheadPerCycle float64) ([]MinConstPoint, error) {
 	var out []MinConstPoint
 	for loads := 1; loads <= maxLoads; loads++ {

@@ -3,7 +3,10 @@ package experiments
 import "testing"
 
 func TestMinimalSafeConstant(t *testing.T) {
-	pts := MinimalSafeConstant(9, 4, 0.01)
+	pts, err := MinimalSafeConstantChecked(9, 4, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 4 {
 		t.Fatalf("points %d", len(pts))
 	}

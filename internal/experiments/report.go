@@ -24,32 +24,23 @@ type Band struct {
 // Pass reports whether the measurement lies in the band.
 func (b Band) Pass() bool { return b.Measured >= b.Lo && b.Measured <= b.Hi }
 
-// ReproductionReport reruns the evaluation and scores every headline
-// quantity against its acceptance band. quick reduces sample counts and
-// workload scale (about a quarter of the full run time); the bands are
-// identical.
-func ReproductionReport(seed int64, quick bool) []Band {
-	return ReproductionReportWith(nil, seed, quick)
-}
-
-// ReproductionReportWith is ReproductionReport on an explicit harness
-// runner, so the caller can attach a journal, a campaign metrics
-// registry or a debug endpoint to the whole evaluation. A nil runner
-// falls back to harness.Default().
-func ReproductionReportWith(r *harness.Runner, seed int64, quick bool) []Band {
-	samples, bits, scale := 1000, 1000, 10_000
-	if quick {
-		samples, bits, scale = 200, 300, 2_500
-	}
+// ReproductionReportWith reruns the evaluation on r and scores every
+// headline quantity against its acceptance band. The caller owns the
+// runner, so it can attach a journal, a campaign metrics registry or a
+// debug endpoint to the whole evaluation.
+//
+// A band is only ever scored on a whole sweep: the first sweep with a
+// failed cell or an interruption ends the report with an error naming
+// the sweep and each failed cell with its class, and so does a §VI-B
+// rate run that completed fewer rounds than it asked for.
+func ReproductionReportWith(r *harness.Runner, seed int64) ([]Band, error) {
+	const samples, bits, scale, rateRounds = 1000, 1000, 10_000, 100
 
 	var bands []Band
 	add := func(id, quantity, paper string, measured, lo, hi float64, unit string) {
 		bands = append(bands, Band{ID: id, Quantity: quantity, Paper: paper,
 			Measured: measured, Lo: lo, Hi: hi, Unit: unit})
 	}
-
-	// Figure 2: resolution constant in loads/secret, linear in N.
-	f2, _, _ := Figure2With(r, seed)
 	meanRes := func(pts []ResolutionPoint, n int) float64 {
 		var sum float64
 		var cnt int
@@ -61,46 +52,76 @@ func ReproductionReportWith(r *harness.Runner, seed int64, quick bool) []Band {
 		}
 		return sum / float64(cnt)
 	}
+
+	// Figure 2: resolution constant in loads/secret, linear in N.
+	f2, err := whole(Figure2With(r, seed))
+	if err != nil {
+		return nil, err
+	}
 	add("fig2", "resolution growth per f(N) access", "≈1 memory RT",
 		meanRes(f2, 2)-meanRes(f2, 1), 100, 140, "cycles")
 
 	// Figures 3/6.
-	f3, _, _ := Figure3With(r, seed)
+	f3, err := whole(Figure3With(r, seed))
+	if err != nil {
+		return nil, err
+	}
 	add("fig3", "timing difference, 1 load, no eviction sets", "22",
 		f3[0].Diff, 20, 24, "cycles")
 	add("fig3b", "timing difference growth to 8 loads", "shallow (≈25)",
 		f3[7].Diff, f3[0].Diff, f3[0].Diff+8, "cycles")
-	f6, _, _ := Figure6With(r, seed)
+	f6, err := whole(Figure6With(r, seed))
+	if err != nil {
+		return nil, err
+	}
 	add("fig6", "timing difference, 1 load, eviction sets", "32",
 		f6[0].Diff, 30, 34, "cycles")
 	add("fig6b", "timing difference, 8 loads, eviction sets", "≈64",
 		f6[7].Diff, 55, 75, "cycles")
 
 	// Figures 7/8 under noise.
-	f7, _, _ := Figure7With(r, seed, samples)
+	f7, err := whole(Figure7With(r, seed, samples))
+	if err != nil {
+		return nil, err
+	}
 	add("fig7", "mean latency difference (noisy), no ES", "≈22",
 		f7.Diff, 18, 27, "cycles")
-	f8, _, _ := Figure8With(r, seed, samples)
+	f8, err := whole(Figure8With(r, seed, samples))
+	if err != nil {
+		return nil, err
+	}
 	add("fig8", "mean latency difference (noisy), ES", "≈32",
 		f8.Diff, 28, 37, "cycles")
 
 	// Figures 10/11.
-	f10, _, _ := Figure10With(r, seed, bits)
+	f10, err := whole(Figure10With(r, seed, bits))
+	if err != nil {
+		return nil, err
+	}
 	add("fig10", "single-sample accuracy, no ES", "86.7%",
 		100*f10.Accuracy, 80, 93, "%")
-	f11, _, _ := Figure11With(r, seed, bits)
+	f11, err := whole(Figure11With(r, seed, bits))
+	if err != nil {
+		return nil, err
+	}
 	add("fig11", "single-sample accuracy, ES", "91.6%",
 		100*f11.Accuracy, 87, 98, "%")
 	add("fig11>10", "ES accuracy advantage", ">0",
 		100*(f11.Accuracy-f10.Accuracy), 0.01, 100, "pp")
 
 	// §VI-B rate.
-	rate := LeakageRate(seed, 100, false)
+	rate := LeakageRate(seed, rateRounds, false)
+	if rate.Rounds < rateRounds {
+		return nil, fmt.Errorf("rate: only %d of %d attack rounds completed", rate.Rounds, rateRounds)
+	}
 	add("rate", "leakage rate @ 2 GHz", "≈140 Kbps",
 		rate.SamplesPerSecond/1000, 100, 200, "Kbps")
 
 	// Figure 12.
-	f12, _, _ := Figure12With(r, seed, scale)
+	f12, err := whole(Figure12With(r, seed, scale))
+	if err != nil {
+		return nil, err
+	}
 	add("fig12a", "CleanupSpec overhead (no constant)", "≈5%",
 		100*f12.MeanOverhead["no-const"], 0, 12, "%")
 	add("fig12b", "const-25 mean overhead", "22.4%",
@@ -109,11 +130,24 @@ func ReproductionReportWith(r *harness.Runner, seed int64, quick bool) []Band {
 		100*f12.MeanOverhead["const-65"], 50, 95, "%")
 
 	// Figure 13 host profile: still linear in N under noise.
-	f13, _, _ := Figure13With(r, seed)
+	f13, err := whole(Figure13With(r, seed))
+	if err != nil {
+		return nil, err
+	}
 	add("fig13", "host-profile resolution growth per access", "linear, noisy",
 		meanRes(f13, 2)-meanRes(f13, 1), 100, 300, "cycles")
 
-	return bands
+	return bands, nil
+}
+
+// whole passes a sweep's values through only when every cell produced
+// one; otherwise it returns the sweep's error (harness.Report.Err
+// names each failed cell and its class).
+func whole[T any](v T, rep *harness.Report, err error) (T, error) {
+	if err == nil {
+		err = rep.Err()
+	}
+	return v, err
 }
 
 // RenderReport writes a markdown summary and returns how many bands

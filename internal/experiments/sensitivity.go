@@ -20,15 +20,9 @@ type NoisePoint struct {
 	SamplesUsed int
 }
 
-// NoiseRobustness sweeps the Gaussian noise σ and reports accuracies.
-func NoiseRobustness(seed int64, sigmas []float64, samples int) []NoisePoint {
-	pts, _, _ := NoiseRobustnessWith(nil, seed, sigmas, samples)
-	return pts
-}
-
-// NoiseRobustnessWith is NoiseRobustness on an explicit harness
-// runner: one cell per σ, each calibrating both eviction-set variants
-// on a fresh machine.
+// NoiseRobustnessWith sweeps the Gaussian noise σ and reports
+// accuracies: one cell per σ, each calibrating both eviction-set
+// variants on a fresh machine.
 func NoiseRobustnessWith(r *harness.Runner, seed int64, sigmas []float64, samples int) ([]NoisePoint, *harness.Report, error) {
 	var cells []harness.Cell
 	for i, sigma := range sigmas {
@@ -81,14 +75,8 @@ type LatencyModelPoint struct {
 	Diff float64
 }
 
-// LatencyModelSensitivity sweeps the two anchor costs.
-func LatencyModelSensitivity(seed int64, invFirsts, restoreFirsts []int) []LatencyModelPoint {
-	pts, _, _ := LatencyModelSensitivityWith(nil, seed, invFirsts, restoreFirsts)
-	return pts
-}
-
-// LatencyModelSensitivityWith is LatencyModelSensitivity on an
-// explicit harness runner.
+// LatencyModelSensitivityWith sweeps the two anchor costs, one cell
+// per (InvFirst, RestoreFirst) pair.
 func LatencyModelSensitivityWith(r *harness.Runner, seed int64, invFirsts, restoreFirsts []int) ([]LatencyModelPoint, *harness.Report, error) {
 	var cells []harness.Cell
 	for _, inv := range invFirsts {

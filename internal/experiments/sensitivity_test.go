@@ -3,7 +3,10 @@ package experiments
 import "testing"
 
 func TestNoiseRobustness(t *testing.T) {
-	pts := NoiseRobustness(1, []float64{2, 10, 25}, 120)
+	pts, err := whole(NoiseRobustnessWith(newRunner(t), 1, []float64{2, 10, 25}, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("points %d", len(pts))
 	}
@@ -27,7 +30,10 @@ func TestNoiseRobustness(t *testing.T) {
 }
 
 func TestLatencyModelSensitivity(t *testing.T) {
-	pts := LatencyModelSensitivity(2, []int{8, 16}, []int{5, 10})
+	pts, err := whole(LatencyModelSensitivityWith(newRunner(t), 2, []int{8, 16}, []int{5, 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 4 {
 		t.Fatalf("points %d", len(pts))
 	}

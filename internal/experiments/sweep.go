@@ -16,22 +16,21 @@ import (
 // Every sweep in this package routes through internal/harness: cells
 // run on a bounded worker pool with panic containment, watchdog
 // escalation, seed-perturbing retries and (when the runner journals)
-// resumable campaigns. The *With variants take an explicit runner; the
-// original entry points keep their signatures and run on
-// harness.Default(), dropping failed cells as gaps exactly like a
-// journaled campaign would.
+// resumable campaigns. Each experiment has one entry point, its *With
+// function, which takes the runner and returns the values of the cells
+// that completed together with the sweep's harness.Report. A failed
+// cell is a gap in the values, never a zero: the caller decides what a
+// gap means — cmd/figures writes a PARTIAL CSV and exits with the
+// failure's class, ReproductionReportWith refuses to score the sweep.
 //
 // Determinism contract: each cell derives all randomness from
 // t.Seed (== the experiment seed on the first attempt), builds a fresh
 // machine, and shares no state with other cells — so results are
 // byte-identical regardless of worker count or scheduling order.
 
-// sweepCollect runs cells through r (nil → harness.Default()) and
-// decodes the successful values in input order.
+// sweepCollect runs cells through r and decodes the successful values
+// in input order.
 func sweepCollect[T any](r *harness.Runner, name string, cells []harness.Cell) ([]T, *harness.Report, error) {
-	if r == nil {
-		r = harness.Default()
-	}
 	rep, err := r.Sweep(name, cells)
 	if err != nil {
 		return nil, nil, err
@@ -91,7 +90,9 @@ func figure2Attack(n, loads int, s int64) (*unxpec.Attack, error) {
 	return unxpec.New(unxpec.Options{Seed: s, FNAccesses: n, LoadsInBranch: loads})
 }
 
-// Figure2With is Figure2 on an explicit harness runner.
+// Figure2With reproduces the branch-resolution study on the simulated
+// CleanupSpec machine: resolution is flat in the number of in-branch
+// loads and the secret, and scales with f(N).
 func Figure2With(r *harness.Runner, seed int64) ([]ResolutionPoint, *harness.Report, error) {
 	return resolutionSweepWith(r, "figure2", seed, 3, figure2Attack)
 }
@@ -112,7 +113,9 @@ func figure13Attack(seed int64) func(n, loads int, s int64) (*unxpec.Attack, err
 	}
 }
 
-// Figure13With is Figure13 on an explicit harness runner.
+// Figure13With repeats the Figure 2 study on the "real CPU" host
+// profile: larger caches, deeper memory, OS-grade noise (i7-8550U
+// stand-in).
 func Figure13With(r *harness.Runner, seed int64) ([]ResolutionPoint, *harness.Report, error) {
 	return resolutionSweepWith(r, "figure13", seed, 9, figure13Attack(seed))
 }
@@ -160,12 +163,14 @@ func diffCells(seed int64, evictionSets bool, rounds int) []harness.Cell {
 	return cells
 }
 
-// Figure3With is Figure3 on an explicit harness runner.
+// Figure3With reproduces the rollback timing difference without
+// eviction sets (≈22 cycles, shallow growth).
 func Figure3With(r *harness.Runner, seed int64) ([]DiffPoint, *harness.Report, error) {
 	return diffSweepWith(r, "figure3", seed, false, 5)
 }
 
-// Figure6With is Figure6 on an explicit harness runner.
+// Figure6With reproduces the rollback timing difference with eviction
+// sets (≈32 → ≈64 cycles).
 func Figure6With(r *harness.Runner, seed int64) ([]DiffPoint, *harness.Report, error) {
 	return diffSweepWith(r, "figure6", seed, true, 5)
 }
@@ -219,12 +224,13 @@ func measureDistributionsWith(r *harness.Runner, name string, seed int64, evicti
 	return vals[0], rep, nil
 }
 
-// Figure7With is Figure7 on an explicit harness runner.
+// Figure7With reproduces the no-eviction-set latency PDFs (Δ≈22
+// cycles) from samples measurements per secret value.
 func Figure7With(r *harness.Runner, seed int64, samples int) (PDFResult, *harness.Report, error) {
 	return measureDistributionsWith(r, "figure7", seed, false, samples)
 }
 
-// Figure8With is Figure8 on an explicit harness runner.
+// Figure8With reproduces the eviction-set latency PDFs (Δ≈32 cycles).
 func Figure8With(r *harness.Runner, seed int64, samples int) (PDFResult, *harness.Report, error) {
 	return measureDistributionsWith(r, "figure8", seed, true, samples)
 }
@@ -270,20 +276,23 @@ func leakRunWith(r *harness.Runner, name string, seed int64, evictionSets bool, 
 	return vals[0], rep, nil
 }
 
-// Figure10With is Figure10 on an explicit harness runner.
+// Figure10With reproduces secret leakage without eviction sets
+// (≈86.7%).
 func Figure10With(r *harness.Runner, seed int64, bits int) (LeakageResult, *harness.Report, error) {
 	return leakRunWith(r, "figure10", seed, false, bits, 300)
 }
 
-// Figure11With is Figure11 on an explicit harness runner.
+// Figure11With reproduces secret leakage with eviction sets (≈91.6%).
 func Figure11With(r *harness.Runner, seed int64, bits int) (LeakageResult, *harness.Report, error) {
 	return leakRunWith(r, "figure11", seed, true, bits, 300)
 }
 
-// Figure12With runs the overhead study on the harness: one cell per
-// (workload, scheme) pair, overheads and means recomputed from the
-// completed cells, so a failed cell leaves a gap instead of aborting
-// the suite or poisoning the averages.
+// Figure12With runs the benchmark suite under the scheme ladder: one
+// cell per (workload, scheme) pair, overheads and means recomputed from
+// the completed cells, so a failed cell leaves a gap instead of
+// aborting the suite or poisoning the averages. scale controls dynamic
+// instruction counts; 10_000 reproduces the published shape in
+// seconds, larger values sharpen the averages.
 func Figure12With(r *harness.Runner, seed int64, scale int) (Figure12Result, *harness.Report, error) {
 	done, rep, err := sweepCollect[Figure12Cell](r, "figure12", figure12Cells(seed, scale))
 	if err != nil {
@@ -363,8 +372,9 @@ func figure12Assemble(done []Figure12Cell, seed int64, scale int) Figure12Result
 	return res
 }
 
-// MitigationStudyWith runs the mitigation comparison on the harness,
-// one cell per candidate scheme.
+// MitigationStudyWith compares constant-time rollback with the paper's
+// proposed fuzzy-time defense on both axes, residual channel width and
+// performance overhead: one cell per candidate scheme.
 func MitigationStudyWith(r *harness.Runner, seed int64, scale, rounds int) ([]MitigationPoint, *harness.Report, error) {
 	type mk struct {
 		name string

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -260,8 +261,8 @@ func (r *Report) ExitCode() int {
 	return code
 }
 
-// Err summarizes the sweep as a single error, or nil when every cell
-// produced a value.
+// Err summarizes the sweep as a single error naming every failed cell
+// with its class, or nil when every cell produced a value.
 func (r *Report) Err() error {
 	fails := r.Failures()
 	if r.Interrupted {
@@ -271,8 +272,12 @@ func (r *Report) Err() error {
 	if len(fails) == 0 {
 		return nil
 	}
-	return fmt.Errorf("harness: sweep %s: %d/%d cells failed (first: %v)",
-		r.Name, len(fails), len(r.Outcomes), fails[0])
+	cells := make([]string, len(fails))
+	for i, f := range fails {
+		cells[i] = fmt.Sprintf("%s (%s)", f.Cell, f.Class)
+	}
+	return fmt.Errorf("harness: sweep %s: %d/%d cells failed: %s; first error: %s",
+		r.Name, len(fails), len(r.Outcomes), strings.Join(cells, ", "), fails[0].Msg)
 }
 
 // Collect decodes the values of successful cells in input order —
@@ -336,14 +341,6 @@ func New(cfg Config) (*Runner, error) {
 		}
 	}
 	return &Runner{cfg: cfg}, nil
-}
-
-// Default returns a journal-less Runner with default pool and retry
-// settings — the drop-in engine for library callers that just want
-// containment and parallelism.
-func Default() *Runner {
-	r, _ := New(Config{})
-	return r
 }
 
 // Config returns the runner's configuration.

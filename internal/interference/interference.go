@@ -21,7 +21,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/noise"
-	"repro/internal/stats"
 	"repro/internal/undo"
 )
 
@@ -202,15 +201,9 @@ func (a *Attack) SetSecretBit(bit int) {
 	}
 }
 
-// MeasureOnce runs one round and returns the observed latency.
-func (a *Attack) MeasureOnce(secret int) uint64 {
-	lat, _ := a.MeasureOnceChecked(secret)
-	return lat
-}
-
-// MeasureOnceChecked is MeasureOnce with watchdog trips surfaced as
-// *cpu.WatchdogError instead of folding a truncated latency into the
-// sample set.
+// MeasureOnceChecked runs one round and returns the observed latency.
+// A watchdog trip surfaces as *cpu.WatchdogError instead of folding a
+// truncated latency into the sample set.
 func (a *Attack) MeasureOnceChecked(secret int) (uint64, error) {
 	a.SetSecretBit(secret)
 	rounds := 2
@@ -230,17 +223,6 @@ func (a *Attack) MeasureOnceChecked(secret int) (uint64, error) {
 		return 0, err
 	}
 	return a.core.Reg(regT2) - a.core.Reg(regT1), nil
-}
-
-// Calibrate measures both classes and fits a threshold.
-func (a *Attack) Calibrate(n int) (diff float64, threshold float64, acc float64) {
-	var s0, s1 []float64
-	for i := 0; i < n; i++ {
-		s0 = append(s0, float64(a.MeasureOnce(0)))
-		s1 = append(s1, float64(a.MeasureOnce(1)))
-	}
-	threshold, acc = stats.BestThreshold(s0, s1)
-	return stats.Mean(s1) - stats.Mean(s0), threshold, acc
 }
 
 // Core exposes the simulated CPU.

@@ -88,15 +88,6 @@ func ParseProgram(src string) (*Program, error) {
 	return p, nil
 }
 
-// MustParseProgram is ParseProgram for statically correct listings.
-func MustParseProgram(src string) *Program {
-	p, err := ParseProgram(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // parseInst decodes one instruction line. For branches and jumps the
 // target comes back as an unresolved token ("@N" or a label name).
 func parseInst(line string) (Inst, string, error) {

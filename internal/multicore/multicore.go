@@ -137,8 +137,16 @@ func (s *System) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats, er
 	if len(progs) != len(s.cores) {
 		return nil, fmt.Errorf("multicore: %d programs for %d cores", len(progs), len(s.cores))
 	}
+	return runLockstep(s.cores, progs, maxCycles, s.noSkip)
+}
+
+// runLockstep is the one lockstep loop behind System.RunAll and
+// SMTSystem.RunAll: it begins one program per core and steps every core
+// each tick until all have halted, failing with cpu.ErrWatchdog once
+// the tick count passes maxCycles (0 means 10M).
+func runLockstep(cores []*cpu.CPU, progs []*isa.Program, maxCycles uint64, noSkip bool) ([]cpu.Stats, error) {
 	for i, p := range progs {
-		s.cores[i].BeginProgram(p)
+		cores[i].BeginProgram(p)
 	}
 	if maxCycles == 0 {
 		maxCycles = 10_000_000
@@ -148,7 +156,7 @@ func (s *System) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats, er
 			return nil, fmt.Errorf("multicore: exceeded %d lockstep cycles: %w", maxCycles, cpu.ErrWatchdog)
 		}
 		allDone := true
-		for _, c := range s.cores {
+		for _, c := range cores {
 			if !c.Step() {
 				allDone = false
 			}
@@ -160,21 +168,21 @@ func (s *System) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats, er
 		// Min-across-cores fast-forward: when no core changed state this
 		// tick, every core is idle-waiting on a time-based event (fill
 		// completion, stall expiry, its watchdog deadline). A quiescent
-		// core cannot touch the shared L2, so jumping all of them by the
-		// smallest next-event distance preserves cycle accuracy.
-		if s.noSkip {
+		// core cannot touch the shared cache, so jumping all of them by
+		// the smallest next-event distance preserves cycle accuracy.
+		if noSkip {
 			continue
 		}
-		skip := lockstepSkip(s.cores, tick, maxCycles)
+		skip := lockstepSkip(cores, tick, maxCycles)
 		if skip > 0 {
-			for _, c := range s.cores {
+			for _, c := range cores {
 				c.Advance(skip)
 			}
 			tick += skip
 		}
 	}
-	out := make([]cpu.Stats, len(s.cores))
-	for i, c := range s.cores {
+	out := make([]cpu.Stats, len(cores))
+	for i, c := range cores {
 		out[i] = c.RunStats()
 	}
 	return out, watchdogVerdict(out)

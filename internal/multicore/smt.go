@@ -81,42 +81,7 @@ func (s *SMTSystem) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats,
 	if len(progs) != 2 {
 		return nil, fmt.Errorf("multicore: SMT runs exactly two programs")
 	}
-	for i, p := range progs {
-		s.threads[i].BeginProgram(p)
-	}
-	if maxCycles == 0 {
-		maxCycles = 10_000_000
-	}
-	for tick := uint64(0); ; {
-		if tick > maxCycles {
-			return nil, fmt.Errorf("multicore: SMT exceeded %d cycles: %w", maxCycles, cpu.ErrWatchdog)
-		}
-		allDone := true
-		for _, c := range s.threads {
-			if !c.Step() {
-				allDone = false
-			}
-		}
-		if allDone {
-			break
-		}
-		tick++
-		if s.noSkip {
-			continue
-		}
-		skip := lockstepSkip(s.threads, tick, maxCycles)
-		if skip > 0 {
-			for _, c := range s.threads {
-				c.Advance(skip)
-			}
-			tick += skip
-		}
-	}
-	out := []cpu.Stats{s.threads[0].RunStats(), s.threads[1].RunStats()}
-	if err := watchdogVerdict(out); err != nil {
-		return out, err
-	}
-	return out, nil
+	return runLockstep(s.threads, progs, maxCycles, s.noSkip)
 }
 
 // SMTPrimeProbe runs the §III-A scenario: thread 1 (attacker) primes an

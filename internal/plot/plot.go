@@ -78,23 +78,6 @@ func (c *Canvas) Line(xs, ys []float64, glyph rune) {
 	}
 }
 
-// HLine draws a horizontal rule at data height y.
-func (c *Canvas) HLine(y float64, glyph rune) {
-	for col := 0; col < c.w; col++ {
-		x := c.xmin + (c.xmax-c.xmin)*float64(col)/float64(c.w-1)
-		c.Mark(x, y, glyph)
-	}
-	_ = glyph
-}
-
-// VLine draws a vertical rule at data position x.
-func (c *Canvas) VLine(x float64, glyph rune) {
-	for row := 0; row < c.h; row++ {
-		y := c.ymin + (c.ymax-c.ymin)*float64(row)/float64(c.h-1)
-		c.Mark(x, y, glyph)
-	}
-}
-
 // String renders the canvas with a frame and axis annotations.
 func (c *Canvas) String() string {
 	var sb strings.Builder

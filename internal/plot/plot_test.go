@@ -104,13 +104,3 @@ func TestBarsDegenerate(t *testing.T) {
 		t.Fatal("zero values should still list labels")
 	}
 }
-
-func TestHLineVLine(t *testing.T) {
-	c := NewCanvas(20, 10, 0, 10, 0, 10)
-	c.HLine(5, '-')
-	c.VLine(5, '|')
-	out := c.String()
-	if strings.Count(out, "-") < 10 || strings.Count(out, "|") < 5 {
-		t.Fatalf("rules not drawn:\n%s", out)
-	}
-}

@@ -88,21 +88,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // KDE is a Gaussian-kernel density estimate over a sample.
 type KDE struct {
 	sample    []float64
@@ -162,44 +147,6 @@ func (k *KDE) Curve(lo, hi float64, n int) ([]float64, []float64) {
 		ys[i] = k.Density(xs[i])
 	}
 	return xs, ys
-}
-
-// Histogram bins a sample into n equal-width bins over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram builds a histogram. Values outside [lo, hi] clamp to the
-// edge bins.
-func NewHistogram(xs []float64, lo, hi float64, bins int) Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := 0
-		if width > 0 {
-			i = int((x - lo) / width)
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h
-}
-
-// BinCenter returns the center value of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }
 
 // BestThreshold searches for the decision threshold that maximizes
@@ -269,24 +216,4 @@ func Accuracy(guess, truth []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(guess))
-}
-
-// BitErrors returns the indices where guess differs from truth.
-func BitErrors(guess, truth []int) []int {
-	var errs []int
-	for i := range guess {
-		if i < len(truth) && guess[i] != truth[i] {
-			errs = append(errs, i)
-		}
-	}
-	return errs
-}
-
-// ToFloats converts a uint64 sample to float64.
-func ToFloats(xs []uint64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

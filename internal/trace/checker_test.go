@@ -7,6 +7,16 @@ import (
 	"repro/internal/unxpec"
 )
 
+// measure runs one attack round, failing the test on a watchdog trip.
+func measure(t *testing.T, a *unxpec.Attack, secret int) uint64 {
+	t.Helper()
+	lat, err := a.MeasureOnceChecked(secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lat
+}
+
 func TestCheckerCleanOnAttackRounds(t *testing.T) {
 	// The full attack exercises every pipeline path: mistraining,
 	// fences, rdtsc serialization, wrong-path loads, squash, cleanup.
@@ -14,7 +24,7 @@ func TestCheckerCleanOnAttackRounds(t *testing.T) {
 	k := NewChecker()
 	a.Core().SetTracer(k)
 	for i := 0; i < 20; i++ {
-		a.MeasureOnce(i % 2)
+		measure(t, a, i%2)
 	}
 	if !k.Ok() {
 		t.Fatalf("pipeline invariant violations:\n%v", k.Violations)
@@ -68,7 +78,9 @@ func TestCheckerCleanOnWorkloadRun(t *testing.T) {
 	a := unxpec.MustNew(unxpec.Options{Seed: 2})
 	k := NewChecker()
 	a.Core().SetTracer(k)
-	a.Calibrate(10)
+	if _, err := a.CalibrateChecked(10); err != nil {
+		t.Fatal(err)
+	}
 	if !k.Ok() {
 		t.Fatalf("violations during calibration:\n%v", k.Violations)
 	}

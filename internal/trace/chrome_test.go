@@ -146,10 +146,10 @@ func TestWriteChromeLanePacking(t *testing.T) {
 
 func TestWriteChromeRealRound(t *testing.T) {
 	a := unxpec.MustNew(unxpec.Options{Seed: 1})
-	a.MeasureOnce(1) // warm up
+	measure(t, a, 1) // warm up
 	buf := NewBuffer()
 	a.Core().SetTracer(buf)
-	a.MeasureOnce(1)
+	measure(t, a, 1)
 	a.Core().SetTracer(nil)
 
 	var out bytes.Buffer

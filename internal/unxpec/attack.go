@@ -238,21 +238,16 @@ func (a *Attack) SetSecretBit(bit int) {
 	}
 }
 
-// MeasureOnce runs one full attack round for the given secret bit and
-// returns the receiver's observed latency (second minus first
+// MeasureOnceChecked runs one full attack round for the given secret
+// bit and returns the receiver's observed latency (second minus first
 // timestamp). The first round performs full preparation including
 // priming; later rounds rely on rollback having restored the primed
 // state, re-priming nothing — the paper's "prime once" observation.
-func (a *Attack) MeasureOnce(secret int) uint64 {
-	lat, _ := a.MeasureOnceChecked(secret)
-	return lat
-}
-
-// MeasureOnceChecked is MeasureOnce with the core watchdog escalated to
-// a typed error: when any phase of the round (training, preparation,
-// measurement) exhausts its cycle budget, the observed latency is
-// garbage and the round reports a *cpu.WatchdogError instead of feeding
-// that garbage into a calibration or sweep average.
+//
+// When any phase of the round (training, preparation, measurement)
+// exhausts its cycle budget, the observed latency is garbage and the
+// round reports a *cpu.WatchdogError instead of feeding that garbage
+// into a calibration or sweep average.
 func (a *Attack) MeasureOnceChecked(secret int) (uint64, error) {
 	a.SetSecretBit(secret)
 	start := a.core.Cycle()
@@ -306,18 +301,10 @@ type Calibration struct {
 	Samples1 []float64
 }
 
-// Calibrate collects n samples per secret value and fits the decision
-// threshold (the paper's 178 / 183 step). Watchdog trips during
-// calibration are silently folded in; experiment drivers should use
-// CalibrateChecked.
-func (a *Attack) Calibrate(n int) Calibration {
-	c, _ := a.CalibrateChecked(n)
-	return c
-}
-
-// CalibrateChecked is Calibrate with the watchdog escalated: the first
-// timed-out round aborts calibration with a *cpu.WatchdogError instead
-// of training the threshold on garbage samples.
+// CalibrateChecked collects n samples per secret value and fits the
+// decision threshold (the paper's 178 / 183 step). The first timed-out
+// round aborts calibration with a *cpu.WatchdogError instead of
+// training the threshold on garbage samples.
 func (a *Attack) CalibrateChecked(n int) (Calibration, error) {
 	c := Calibration{
 		Samples0: make([]float64, 0, n),
@@ -355,16 +342,11 @@ type LeakResult struct {
 	SamplesPerBit int
 }
 
-// LeakSecret steals the given bits, one round (or samplesPerBit rounds
-// with majority vote) each, deciding against the calibrated threshold.
-func (a *Attack) LeakSecret(bits []int, threshold float64, samplesPerBit int) LeakResult {
-	res, _ := a.LeakSecretChecked(bits, threshold, samplesPerBit)
-	return res
-}
-
-// LeakSecretChecked is LeakSecret with the watchdog escalated: a
-// timed-out round aborts the leak with a *cpu.WatchdogError instead of
-// decoding a garbage latency into a bit guess.
+// LeakSecretChecked steals the given bits, one round (or samplesPerBit
+// rounds with majority vote) each, deciding against the calibrated
+// threshold. A timed-out round aborts the leak with a
+// *cpu.WatchdogError instead of decoding a garbage latency into a bit
+// guess.
 func (a *Attack) LeakSecretChecked(bits []int, threshold float64, samplesPerBit int) (LeakResult, error) {
 	if samplesPerBit < 1 {
 		samplesPerBit = 1

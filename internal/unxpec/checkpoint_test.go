@@ -15,7 +15,7 @@ func TestCheckpointReplaysIdentically(t *testing.T) {
 	secrets := []int{1, 0, 1, 1, 0, 0, 1, 0}
 
 	a := MustNew(resetTestOptions(13))
-	a.Calibrate(6) // warm: trained predictor, primed caches, threshold set
+	calibrate(t, a, 6) // warm: trained predictor, primed caches, threshold set
 
 	cp, err := a.Checkpoint()
 	if err != nil {
@@ -55,7 +55,7 @@ func TestCheckpointReplaysIdentically(t *testing.T) {
 // training program (rounds counter and trained flag rewind together).
 func TestCheckpointPreservesTraining(t *testing.T) {
 	a := MustNew(Options{Seed: 17})
-	a.MeasureOnce(1) // trains on first use
+	measure(t, a, 1) // trains on first use
 	if !a.trained {
 		t.Fatal("attack not trained after first round")
 	}
@@ -65,8 +65,8 @@ func TestCheckpointPreservesTraining(t *testing.T) {
 	}
 	roundsAt := a.rounds
 
-	a.MeasureOnce(0)
-	a.MeasureOnce(1)
+	measure(t, a, 0)
+	measure(t, a, 1)
 	if err := a.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCheckpointFuzzyTime(t *testing.T) {
 	a := MustNew(Options{Seed: 19, Scheme: undo.NewFuzzyTime(40, 21)})
 	secrets := []int{1, 0, 0, 1, 1, 0}
 	for _, s := range secrets {
-		a.MeasureOnce(s)
+		measure(t, a, s)
 	}
 	cp, err := a.Checkpoint()
 	if err != nil {
@@ -96,7 +96,7 @@ func TestCheckpointFuzzyTime(t *testing.T) {
 	run := func() []uint64 {
 		out := make([]uint64, 0, len(secrets))
 		for _, s := range secrets {
-			out = append(out, a.MeasureOnce(s))
+			out = append(out, measure(t, a, s))
 		}
 		return out
 	}

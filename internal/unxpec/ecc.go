@@ -74,10 +74,14 @@ func DecodeHamming(code []int) (data []int, corrections int) {
 // one (or samplesPerBit) rounds per code bit and decodes with
 // correction. It returns the recovered data bits (trimmed to
 // len(bits)), the post-correction accuracy, and how many corrections
-// fired.
-func (a *Attack) LeakSecretECC(bits []int, threshold float64, samplesPerBit int) (recovered []int, accuracy float64, corrections int) {
+// fired; a failed round (LeakSecretChecked) aborts the transfer with
+// its error.
+func (a *Attack) LeakSecretECC(bits []int, threshold float64, samplesPerBit int) (recovered []int, accuracy float64, corrections int, err error) {
 	code := EncodeHamming(bits)
-	raw := a.LeakSecret(code, threshold, samplesPerBit)
+	raw, err := a.LeakSecretChecked(code, threshold, samplesPerBit)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	data, corr := DecodeHamming(raw.Guesses)
 	if len(data) > len(bits) {
 		data = data[:len(bits)]
@@ -91,5 +95,5 @@ func (a *Attack) LeakSecretECC(bits []int, threshold float64, samplesPerBit int)
 	if len(data) > 0 {
 		accuracy = float64(correct) / float64(len(data))
 	}
-	return data, accuracy, corr
+	return data, accuracy, corr, nil
 }

@@ -95,11 +95,14 @@ func TestLeakSecretECCImprovesOverRaw(t *testing.T) {
 		return n
 	}
 	a := MustNew(Options{Seed: 30, UseEvictionSets: true, Noise: mkNoise()})
-	cal := a.Calibrate(200)
+	cal := calibrate(t, a, 200)
 	bits := RandomSecret(280, 31)
 
-	raw := a.LeakSecret(bits, cal.Threshold, 1)
-	_, eccAcc, corrections := a.LeakSecretECC(bits, cal.Threshold, 1)
+	raw := leak(t, a, bits, cal.Threshold, 1)
+	_, eccAcc, corrections, err := a.LeakSecretECC(bits, cal.Threshold, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if corrections == 0 {
 		t.Fatal("no corrections fired — noise too quiet for this test")
 	}
@@ -108,7 +111,10 @@ func TestLeakSecretECCImprovesOverRaw(t *testing.T) {
 	}
 	// With 3-sample voting underneath, ECC should push the channel to
 	// near-reliability.
-	_, eccAcc3, _ := a.LeakSecretECC(bits, cal.Threshold, 3)
+	_, eccAcc3, _, err := a.LeakSecretECC(bits, cal.Threshold, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if eccAcc3 < 0.97 {
 		t.Fatalf("ECC+voting accuracy %.3f, want ≥0.97", eccAcc3)
 	}

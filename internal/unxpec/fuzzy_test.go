@@ -18,14 +18,14 @@ func TestFuzzyTimeOnlyRateLimits(t *testing.T) {
 		UseEvictionSets: true,
 		Scheme:          undo.NewFuzzyTime(40, 11),
 	})
-	cal := a.Calibrate(400)
+	cal := calibrate(t, a, 400)
 	if cal.Diff < 5 {
 		t.Fatalf("fuzzy-time mean difference %.1f — padding construction changed?", cal.Diff)
 	}
 	// Single samples are degraded relative to the undefended ≈0.95+...
-	single := a.LeakSecret(RandomSecret(300, 41), cal.Threshold, 1)
+	single := leak(t, a, RandomSecret(300, 41), cal.Threshold, 1)
 	// ...but majority voting restores the attack.
-	voted := a.LeakSecret(RandomSecret(300, 42), cal.Threshold, 15)
+	voted := leak(t, a, RandomSecret(300, 42), cal.Threshold, 15)
 	if voted.Accuracy <= single.Accuracy {
 		t.Fatalf("voting did not help: %.3f vs %.3f", voted.Accuracy, single.Accuracy)
 	}
@@ -43,12 +43,12 @@ func TestConstantTimeImmuneToAveraging(t *testing.T) {
 		UseEvictionSets: true,
 		Scheme:          undo.NewConstantTime(80, undo.Relaxed),
 	})
-	cal := a.Calibrate(200)
+	cal := calibrate(t, a, 200)
 	if cal.Diff != 0 {
 		t.Fatalf("const-80 shows a %.2f-cycle mean difference", cal.Diff)
 	}
 	// The calibrated "best" threshold on pure noise decodes at chance.
-	res := a.LeakSecret(RandomSecret(400, 44), cal.Threshold, 9)
+	res := leak(t, a, RandomSecret(400, 44), cal.Threshold, 9)
 	if res.Accuracy > 0.65 {
 		t.Fatalf("averaging attack recovered %.3f accuracy against a full constant", res.Accuracy)
 	}

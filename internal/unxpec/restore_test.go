@@ -46,7 +46,7 @@ func TestResetMatchesFreshAttack(t *testing.T) {
 	defer cp.Release()
 	first := run(a)
 	// Dirty the machine some more before rewinding.
-	a.Calibrate(4)
+	calibrate(t, a, 4)
 	if err := a.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestResetMatchesFreshFuzzyTime(t *testing.T) {
 		return Options{Scheme: undo.NewFuzzyTime(64, 99), Seed: 3}
 	}
 	run := func(a *Attack) []uint64 {
-		return []uint64{a.MeasureOnce(1), a.MeasureOnce(1), a.MeasureOnce(0)}
+		return []uint64{measure(t, a, 1), measure(t, a, 1), measure(t, a, 0)}
 	}
 	a := MustNew(opts())
 	cp, err := a.Checkpoint()
@@ -105,12 +105,14 @@ func TestResetMatchesFreshFuzzyTime(t *testing.T) {
 func TestSteadyStateMeasureOnceAllocatesNothing(t *testing.T) {
 	a := MustNew(resetTestOptions(11))
 	for i := 0; i < 8; i++ {
-		a.MeasureOnce(i & 1) // reach steady state
+		measure(t, a, i&1) // reach steady state
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		a.MeasureOnce(1)
+		if _, err := a.MeasureOnceChecked(1); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state MeasureOnce allocates %.1f times per round, want 0", avg)
+		t.Fatalf("steady-state MeasureOnceChecked allocates %.1f times per round, want 0", avg)
 	}
 }

@@ -55,7 +55,10 @@ func AutoTune(base Options, schemeFactory func() undo.Scheme, maxLoads, calib in
 		if err != nil {
 			return nil, 0, err
 		}
-		cal := a.Calibrate(calib)
+		cal, err := a.CalibrateChecked(calib)
+		if err != nil {
+			return nil, 0, err
+		}
 		rate := a.LeakageRate(2.0)
 		pErr := 1 - cal.TrainAcc
 		pt := TunePoint{
@@ -71,56 +74,4 @@ func AutoTune(base Options, schemeFactory func() undo.Scheme, maxLoads, calib in
 		}
 	}
 	return points, best, nil
-}
-
-// MajorityPlan returns the number of samples per bit needed to push a
-// per-sample accuracy to at least target accuracy under independent
-// majority voting (odd sample counts only), capped at maxSamples.
-func MajorityPlan(perSample, target float64, maxSamples int) int {
-	if perSample >= target {
-		return 1
-	}
-	if perSample <= 0.5 {
-		return maxSamples
-	}
-	p := perSample
-	for n := 3; n <= maxSamples; n += 2 {
-		if majorityAccuracy(p, n) >= target {
-			return n
-		}
-	}
-	return maxSamples
-}
-
-// majorityAccuracy computes P(majority of n iid samples correct) for
-// per-sample accuracy p.
-func majorityAccuracy(p float64, n int) float64 {
-	// Sum over k > n/2 of C(n,k) p^k (1-p)^(n-k).
-	var total float64
-	for k := n/2 + 1; k <= n; k++ {
-		total += binomPMF(n, k, p)
-	}
-	return total
-}
-
-func binomPMF(n, k int, p float64) float64 {
-	// Log-space for stability.
-	lg := lnChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-	return math.Exp(lg)
-}
-
-func lnChoose(n, k int) float64 {
-	lg, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return lg - lk - lnk
-}
-
-// EstimateLeakTime returns the expected wall-clock seconds to leak
-// `bits` bits at the given per-sample rate and samples per bit.
-func EstimateLeakTime(bits, samplesPerBit int, samplesPerSecond float64) float64 {
-	if samplesPerSecond <= 0 {
-		return math.Inf(1)
-	}
-	return float64(bits*samplesPerBit) / samplesPerSecond
 }

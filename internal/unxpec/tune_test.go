@@ -46,44 +46,3 @@ func TestBinaryEntropy(t *testing.T) {
 		t.Fatalf("H2(0.11) = %f, want ≈0.5", h)
 	}
 }
-
-func TestMajorityAccuracy(t *testing.T) {
-	// p=0.9, n=3: p³ + 3p²(1-p) = 0.729 + 0.243 = 0.972.
-	if got := majorityAccuracy(0.9, 3); math.Abs(got-0.972) > 1e-9 {
-		t.Fatalf("majority(0.9,3) = %f", got)
-	}
-	// Voting must help when p > 0.5 and hurt when p < 0.5.
-	if majorityAccuracy(0.8, 5) <= 0.8 {
-		t.Fatal("voting did not help at p=0.8")
-	}
-	if majorityAccuracy(0.4, 5) >= 0.4 {
-		t.Fatal("voting should hurt below 0.5")
-	}
-}
-
-func TestMajorityPlan(t *testing.T) {
-	if MajorityPlan(0.99, 0.95, 31) != 1 {
-		t.Fatal("already sufficient accuracy should need one sample")
-	}
-	n := MajorityPlan(0.867, 0.99, 31)
-	if n < 3 || n%2 == 0 {
-		t.Fatalf("plan %d samples", n)
-	}
-	if majorityAccuracy(0.867, n) < 0.99 {
-		t.Fatalf("plan of %d samples misses the target", n)
-	}
-	if MajorityPlan(0.4, 0.9, 31) != 31 {
-		t.Fatal("hopeless channel should cap out")
-	}
-}
-
-func TestEstimateLeakTime(t *testing.T) {
-	// 1000 bits at 1 sample/bit and 140k samples/s ≈ 7.1 ms.
-	got := EstimateLeakTime(1000, 1, 140_000)
-	if math.Abs(got-0.00714) > 0.001 {
-		t.Fatalf("leak time %f s", got)
-	}
-	if !math.IsInf(EstimateLeakTime(1, 1, 0), 1) {
-		t.Fatal("zero rate should be infinite time")
-	}
-}

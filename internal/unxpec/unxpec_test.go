@@ -9,17 +9,47 @@ import (
 	"repro/internal/undo"
 )
 
+// measure runs one attack round, failing the test on a watchdog trip.
+func measure(t testing.TB, a *Attack, secret int) uint64 {
+	t.Helper()
+	lat, err := a.MeasureOnceChecked(secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lat
+}
+
+// calibrate is CalibrateChecked, failing the test on a watchdog trip.
+func calibrate(t testing.TB, a *Attack, n int) Calibration {
+	t.Helper()
+	cal, err := a.CalibrateChecked(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
+}
+
+// leak is LeakSecretChecked, failing the test on a watchdog trip.
+func leak(t testing.TB, a *Attack, bits []int, threshold float64, samplesPerBit int) LeakResult {
+	t.Helper()
+	res, err := a.LeakSecretChecked(bits, threshold, samplesPerBit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestHeadlineTimingDifference(t *testing.T) {
 	// The paper's core result: a single transient load yields a
 	// 22-cycle secret-dependent difference; eviction sets raise it to
 	// 32 (Abstract, §VI-A).
 	a := MustNew(Options{Seed: 1})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d != 22 {
 		t.Fatalf("timing difference %d cycles, want 22", d)
 	}
 	es := MustNew(Options{Seed: 1, UseEvictionSets: true})
-	d = int64(es.MeasureOnce(1)) - int64(es.MeasureOnce(0))
+	d = int64(measure(t, es, 1)) - int64(measure(t, es, 0))
 	if d != 32 {
 		t.Fatalf("eviction-set timing difference %d cycles, want 32", d)
 	}
@@ -28,9 +58,9 @@ func TestHeadlineTimingDifference(t *testing.T) {
 func TestBranchResolutionConstantAcrossSecrets(t *testing.T) {
 	// §IV-A: resolution time is secret-independent for fixed f(N).
 	a := MustNew(Options{Seed: 2})
-	a.MeasureOnce(0)
+	measure(t, a, 0)
 	r0, c0 := a.LastSquashStats()
-	a.MeasureOnce(1)
+	measure(t, a, 1)
 	r1, c1 := a.LastSquashStats()
 	if r0 != r1 {
 		t.Fatalf("branch resolution differs by secret: %d vs %d", r0, r1)
@@ -48,7 +78,7 @@ func TestBranchResolutionScalesWithFN(t *testing.T) {
 	var res [4]uint64
 	for n := 1; n <= 3; n++ {
 		a := MustNew(Options{Seed: 3, FNAccesses: n})
-		a.MeasureOnce(1)
+		measure(t, a, 1)
 		res[n], _ = a.LastSquashStats()
 	}
 	if res[2] < res[1]+80 || res[3] < res[2]+80 {
@@ -61,7 +91,7 @@ func TestBranchResolutionInsensitiveToLoadCount(t *testing.T) {
 	var res []uint64
 	for _, loads := range []int{1, 3, 5} {
 		a := MustNew(Options{Seed: 4, LoadsInBranch: loads})
-		a.MeasureOnce(1)
+		measure(t, a, 1)
 		r, _ := a.LastSquashStats()
 		res = append(res, r)
 	}
@@ -77,7 +107,7 @@ func TestDifferenceGrowthWithLoads(t *testing.T) {
 	// steeply with them.
 	diff := func(es bool, loads int) int64 {
 		a := MustNew(Options{Seed: 5, LoadsInBranch: loads, UseEvictionSets: es})
-		return int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		return int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	}
 	d1, d8 := diff(false, 1), diff(false, 8)
 	if d1 != 22 {
@@ -100,7 +130,7 @@ func TestPrimedStateSurvivesRounds(t *testing.T) {
 	// suffices; the difference must not decay over rounds.
 	a := MustNew(Options{Seed: 6, UseEvictionSets: true})
 	for round := 0; round < 10; round++ {
-		d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+		d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 		if d != 32 {
 			t.Fatalf("round %d: difference decayed to %d (primed state lost)", round, d)
 		}
@@ -111,7 +141,7 @@ func TestNoChannelAgainstUnsafeBaseline(t *testing.T) {
 	// The channel is a property of rollback: without cleanup there is
 	// no secret-dependent stall.
 	a := MustNew(Options{Seed: 7, Scheme: undo.NewUnsafe()})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d < -3 || d > 3 {
 		t.Fatalf("unsafe baseline shows a %d-cycle difference; rollback is the channel", d)
 	}
@@ -119,7 +149,7 @@ func TestNoChannelAgainstUnsafeBaseline(t *testing.T) {
 
 func TestNoChannelAgainstInvisibleLite(t *testing.T) {
 	a := MustNew(Options{Seed: 8, Scheme: undo.NewInvisibleLite()})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d < -3 || d > 3 {
 		t.Fatalf("invisible scheme shows a %d-cycle rollback difference", d)
 	}
@@ -129,7 +159,7 @@ func TestConstantTimeRollbackClosesChannel(t *testing.T) {
 	// §VI-E: with a sufficiently large relaxed constant, the stall is
 	// secret-independent.
 	a := MustNew(Options{Seed: 9, Scheme: undo.NewConstantTime(65, undo.Relaxed)})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d != 0 {
 		t.Fatalf("constant-time rollback leaks a %d-cycle difference", d)
 	}
@@ -139,7 +169,7 @@ func TestUndersizedConstantStillLeaks(t *testing.T) {
 	// A relaxed constant below the worst-case rollback does not fully
 	// hide the difference (§VI-E second strategy discussion).
 	a := MustNew(Options{Seed: 10, Scheme: undo.NewConstantTime(25, undo.Relaxed), UseEvictionSets: true})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d <= 0 {
 		t.Fatalf("undersized constant should still leak, diff=%d", d)
 	}
@@ -147,7 +177,7 @@ func TestUndersizedConstantStillLeaks(t *testing.T) {
 
 func TestCalibrationNoiseless(t *testing.T) {
 	a := MustNew(Options{Seed: 11})
-	cal := a.Calibrate(20)
+	cal := calibrate(t, a, 20)
 	if cal.Diff != 22 {
 		t.Fatalf("calibrated diff %.1f", cal.Diff)
 	}
@@ -164,8 +194,8 @@ func TestSecretLeakageAccuracyBands(t *testing.T) {
 	// eviction sets under system noise.
 	run := func(es bool) float64 {
 		a := MustNew(Options{Seed: 12, UseEvictionSets: es, Noise: noise.NewSystem(99)})
-		cal := a.Calibrate(200)
-		res := a.LeakSecret(RandomSecret(600, 13), cal.Threshold, 1)
+		cal := calibrate(t, a, 200)
+		res := leak(t, a, RandomSecret(600, 13), cal.Threshold, 1)
 		return res.Accuracy
 	}
 	accNo := run(false)
@@ -184,10 +214,10 @@ func TestSecretLeakageAccuracyBands(t *testing.T) {
 func TestMultiSampleDecodingImproves(t *testing.T) {
 	// §VI-D: more samples per bit suppress noise.
 	a := MustNew(Options{Seed: 14, Noise: noise.NewSystem(5)})
-	cal := a.Calibrate(150)
+	cal := calibrate(t, a, 150)
 	bits := RandomSecret(200, 15)
-	one := a.LeakSecret(bits, cal.Threshold, 1)
-	five := a.LeakSecret(bits, cal.Threshold, 5)
+	one := leak(t, a, bits, cal.Threshold, 1)
+	five := leak(t, a, bits, cal.Threshold, 5)
 	if five.Accuracy < one.Accuracy {
 		t.Fatalf("5-sample accuracy %.3f below 1-sample %.3f", five.Accuracy, one.Accuracy)
 	}
@@ -200,7 +230,7 @@ func TestLeakageRateBand(t *testing.T) {
 	// §VI-B: ≈140k samples/s at 2 GHz.
 	a := MustNew(Options{Seed: 16})
 	for i := 0; i < 50; i++ {
-		a.MeasureOnce(i % 2)
+		measure(t, a, i%2)
 	}
 	r := a.LeakageRate(2.0)
 	if r.SamplesPerSecond < 100_000 || r.SamplesPerSecond > 200_000 {
@@ -221,7 +251,7 @@ func TestLeakageRateEmpty(t *testing.T) {
 func TestTimingBasedEvictionSets(t *testing.T) {
 	// The realistic construction path must deliver the same channel.
 	a := MustNew(Options{Seed: 18, UseEvictionSets: true, TimingBasedEvictionSets: true})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d < 30 || d > 40 {
 		t.Fatalf("timing-based eviction sets diff %d, want ≈32", d)
 	}
@@ -292,8 +322,8 @@ func TestLayoutDisjointRegions(t *testing.T) {
 
 func TestLeakSecretAccountsLatencies(t *testing.T) {
 	a := MustNew(Options{Seed: 19})
-	cal := a.Calibrate(10)
-	res := a.LeakSecret([]int{0, 1, 0, 1}, cal.Threshold, 1)
+	cal := calibrate(t, a, 10)
+	res := leak(t, a, []int{0, 1, 0, 1}, cal.Threshold, 1)
 	if len(res.Latencies) != 4 || len(res.Guesses) != 4 {
 		t.Fatalf("result sizes %d/%d", len(res.Latencies), len(res.Guesses))
 	}
@@ -305,7 +335,7 @@ func TestLeakSecretAccountsLatencies(t *testing.T) {
 
 func TestSamplesPerBitFloor(t *testing.T) {
 	a := MustNew(Options{Seed: 20})
-	res := a.LeakSecret([]int{1}, 140, 0)
+	res := leak(t, a, []int{1}, 140, 0)
 	if res.SamplesPerBit != 1 {
 		t.Fatal("samplesPerBit should floor at 1")
 	}
@@ -319,7 +349,7 @@ func TestAttackWorksAgainstGshare(t *testing.T) {
 		Seed:      50,
 		Predictor: branch.NewGshare(branch.DefaultConfig(), 8),
 	})
-	d := int64(a.MeasureOnce(1)) - int64(a.MeasureOnce(0))
+	d := int64(measure(t, a, 1)) - int64(measure(t, a, 0))
 	if d != 22 {
 		t.Fatalf("gshare timing difference %d, want 22", d)
 	}

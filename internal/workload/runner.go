@@ -17,21 +17,12 @@ type RunResult struct {
 	Stats    cpu.Stats
 }
 
-// Run executes w on a fresh Table I machine under the given scheme and
-// returns the run statistics. Every run gets its own hierarchy and
-// predictor so measurements are independent.
-//
-// A watchdog trip is only visible as Stats.TimedOut here; overhead
-// studies that average Cycles must use RunChecked instead, or a hung
-// cell silently poisons the mean.
-func Run(w Workload, scheme undo.Scheme, seed int64) RunResult {
-	res, _ := RunChecked(w, scheme, seed)
-	return res
-}
-
-// RunChecked is Run with the watchdog escalated to a typed error: when
-// the core exhausts MaxCycles it returns the partial result plus a
-// *cpu.WatchdogError (errors.Is(err, cpu.ErrWatchdog)).
+// RunChecked executes w on a fresh Table I machine under the given
+// scheme and returns the run statistics. Every run gets its own
+// hierarchy and predictor so measurements are independent. When the
+// core exhausts MaxCycles it returns the partial result plus a
+// *cpu.WatchdogError (errors.Is(err, cpu.ErrWatchdog)), so a hung run
+// cannot silently poison an overhead mean.
 func RunChecked(w Workload, scheme undo.Scheme, seed int64) (RunResult, error) {
 	return RunInstrumented(w, scheme, seed, nil, nil)
 }

@@ -11,6 +11,16 @@ import (
 	"repro/internal/undo"
 )
 
+// run is RunChecked, failing the test on a watchdog trip.
+func run(t *testing.T, w Workload, scheme undo.Scheme, seed int64) RunResult {
+	t.Helper()
+	res, err := RunChecked(w, scheme, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSuiteShapes(t *testing.T) {
 	suite := Suite(2000, 1)
 	if len(suite) != 8 {
@@ -30,7 +40,7 @@ func TestSuiteShapes(t *testing.T) {
 
 func TestAllWorkloadsTerminate(t *testing.T) {
 	for _, w := range Suite(1500, 2) {
-		res := Run(w, undo.NewUnsafe(), 3)
+		res := run(t, w, undo.NewUnsafe(), 3)
 		if res.Stats.TimedOut {
 			t.Fatalf("%s timed out", w.Name)
 		}
@@ -45,7 +55,7 @@ func TestMispredictProfilesSpan(t *testing.T) {
 	// Figure 12 overhead range is meaningful.
 	rates := map[string]float64{}
 	for _, w := range Suite(3000, 3) {
-		res := Run(w, undo.NewUnsafe(), 4)
+		res := run(t, w, undo.NewUnsafe(), 4)
 		sq := float64(res.Stats.Squashes) / float64(res.Stats.Retired)
 		rates[w.Name] = sq
 	}
@@ -64,7 +74,7 @@ func TestMispredictProfilesSpan(t *testing.T) {
 }
 
 func TestPointerChaseIsMemoryBound(t *testing.T) {
-	res := Run(PointerChase(2000, 1024, 5), undo.NewUnsafe(), 5)
+	res := run(t, PointerChase(2000, 1024, 5), undo.NewUnsafe(), 5)
 	ipc := res.Stats.IPC()
 	if ipc > 0.2 {
 		t.Fatalf("pointer chase IPC %.3f, want memory-bound (≪1)", ipc)
@@ -72,8 +82,8 @@ func TestPointerChaseIsMemoryBound(t *testing.T) {
 }
 
 func TestStreamFasterThanPointerChase(t *testing.T) {
-	s := Run(Stream(2000), undo.NewUnsafe(), 6)
-	p := Run(PointerChase(2000, 1024, 6), undo.NewUnsafe(), 6)
+	s := run(t, Stream(2000), undo.NewUnsafe(), 6)
+	p := run(t, PointerChase(2000, 1024, 6), undo.NewUnsafe(), 6)
 	if s.Stats.IPC() <= p.Stats.IPC() {
 		t.Fatalf("stream IPC %.3f not above pointer-chase %.3f", s.Stats.IPC(), p.Stats.IPC())
 	}
@@ -81,16 +91,16 @@ func TestStreamFasterThanPointerChase(t *testing.T) {
 
 func TestConstantTimeSlowsBranchyCode(t *testing.T) {
 	w := BranchyFilter(2000, 7)
-	base := Run(w, undo.NewUnsafe(), 7)
-	c65 := Run(w, undo.NewConstantTime(65, undo.Relaxed), 7)
+	base := run(t, w, undo.NewUnsafe(), 7)
+	c65 := run(t, w, undo.NewConstantTime(65, undo.Relaxed), 7)
 	slow := float64(c65.Stats.Cycles)/float64(base.Stats.Cycles) - 1
 	if slow < 0.10 {
 		t.Fatalf("const-65 slowdown %.3f on branchy code, want substantial", slow)
 	}
 	// And predictable code is barely affected.
 	s := Stream(2000)
-	baseS := Run(s, undo.NewUnsafe(), 8)
-	c65S := Run(s, undo.NewConstantTime(65, undo.Relaxed), 8)
+	baseS := run(t, s, undo.NewUnsafe(), 8)
+	c65S := run(t, s, undo.NewConstantTime(65, undo.Relaxed), 8)
 	slowS := float64(c65S.Stats.Cycles)/float64(baseS.Stats.Cycles) - 1
 	if slowS > 0.05 {
 		t.Fatalf("const-65 slowdown %.3f on stream, want ≈0", slowS)
@@ -114,8 +124,8 @@ func TestSchemesLadder(t *testing.T) {
 
 func TestRunsAreDeterministic(t *testing.T) {
 	w := HashProbe(1000, 2048, 9)
-	a := Run(w, undo.NewCleanupSpec(), 10)
-	b := Run(w, undo.NewCleanupSpec(), 10)
+	a := run(t, w, undo.NewCleanupSpec(), 10)
+	b := run(t, w, undo.NewCleanupSpec(), 10)
 	if a.Stats.Cycles != b.Stats.Cycles || a.Stats.Squashes != b.Stats.Squashes {
 		t.Fatalf("nondeterministic run: %d/%d vs %d/%d cycles/squashes",
 			a.Stats.Cycles, a.Stats.Squashes, b.Stats.Cycles, b.Stats.Squashes)
@@ -136,7 +146,7 @@ func TestExtendedSuite(t *testing.T) {
 		t.Fatalf("extended suite size %d", len(ext))
 	}
 	for _, w := range ext[8:] {
-		res := Run(w, undo.NewCleanupSpec(), 2)
+		res := run(t, w, undo.NewCleanupSpec(), 2)
 		if res.Stats.TimedOut || res.Stats.Retired < 500 {
 			t.Fatalf("%s did not run properly: %+v", w.Name, res.Stats)
 		}
@@ -145,7 +155,7 @@ func TestExtendedSuite(t *testing.T) {
 
 func TestMatMulTileComputesCorrectly(t *testing.T) {
 	w := MatMulTile(1, 2)
-	res := Run(w, undo.NewUnsafe(), 3)
+	res := run(t, w, undo.NewUnsafe(), 3)
 	if res.Stats.TimedOut {
 		t.Fatal("timed out")
 	}
@@ -162,7 +172,7 @@ func TestMatMulTileComputesCorrectly(t *testing.T) {
 }
 
 func TestQueueSimBranchy(t *testing.T) {
-	res := Run(QueueSim(3000, 4), undo.NewUnsafe(), 4)
+	res := run(t, QueueSim(3000, 4), undo.NewUnsafe(), 4)
 	rate := float64(res.Stats.Squashes) / float64(res.Stats.Retired)
 	if rate < 0.005 {
 		t.Fatalf("queue_sim squash rate %.4f, want data-dependent branching", rate)
