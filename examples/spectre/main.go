@@ -23,7 +23,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	decoded, hits := a1.LeakBytes(secret, 256)
+	decoded, hits, err := a1.LeakBytes(secret, 256)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("   leaked %q (%d/%d probe hits) — the classic attack works\n\n",
 		decoded, hits, len(secret))
 
@@ -32,7 +35,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, hits = a2.LeakBytes(secret, 256)
+	_, hits, err = a2.LeakBytes(secret, 256)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("   %d/%d probe hits — rollback erased every footprint; Undo defense holds\n\n",
 		hits, len(secret))
 

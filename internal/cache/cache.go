@@ -42,6 +42,12 @@ type Line struct {
 	// CleanupSpec serves cross-agent hits on such lines with a dummy
 	// miss and invalidates them during rollback.
 	Speculative bool
+	// DowngradeDeferred marks an M/E → S coherence downgrade another
+	// agent requested while the line was speculative (CleanupSpec's
+	// in-window rule). Commit applies it; the mark leaves with the line
+	// on invalidation, flush or replacement. It sits with the other
+	// flags so Line stays 32 bytes.
+	DowngradeDeferred bool
 	// Epoch tags which speculation window installed the line.
 	Epoch uint64
 	// Owner is the agent ID that installed the line (for dummy-miss
@@ -117,15 +123,6 @@ type Stats struct {
 	Invalidations uint64
 	Flushes       uint64
 	DummyMisses   uint64
-}
-
-// HitRate returns hits / (hits+misses), or 0 for no accesses.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Eviction describes a line displaced by a fill, carrying what the
@@ -372,34 +369,34 @@ func (c *Cache) MarkDirty(addr mem.Addr) bool {
 }
 
 // Commit clears the speculative bit on addr's line (the installing load
-// retired and the speculation was correct).
-func (c *Cache) Commit(addr mem.Addr) {
+// retired and the speculation was correct). A downgrade deferred while
+// the line was speculative is applied now: the line turns Shared and
+// Commit reports true.
+func (c *Cache) Commit(addr mem.Addr) (downgraded bool) {
 	set, way := c.find(addr.Line())
-	if way >= 0 {
-		c.sets[set][way].Speculative = false
-		c.touch(set)
+	if way < 0 {
+		return false
 	}
+	l := &c.sets[set][way]
+	l.Speculative = false
+	if l.DowngradeDeferred {
+		l.DowngradeDeferred = false
+		l.State = Shared
+		downgraded = true
+	}
+	c.touch(set)
+	return downgraded
 }
 
-// CommitEpoch clears the speculative bit on every line whose epoch is at
-// most epoch. Used when a speculation window resolves correctly.
-func (c *Cache) CommitEpoch(epoch uint64) int {
-	n := 0
-	for s := range c.sets {
-		touched := false
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.Valid() && l.Speculative && l.Epoch <= epoch {
-				l.Speculative = false
-				touched = true
-				n++
-			}
-		}
-		if touched {
-			c.touch(s)
-		}
+// DeferDowngrade marks addr's line, if present, for an M/E → S
+// downgrade that Commit applies once the line stops being speculative.
+func (c *Cache) DeferDowngrade(addr mem.Addr) {
+	set, way := c.find(addr.Line())
+	if way < 0 {
+		return
 	}
-	return n
+	c.sets[set][way].DowngradeDeferred = true
+	c.touch(set)
 }
 
 // SetState overrides the coherence state of a present line (testing and
@@ -469,8 +466,9 @@ func (c *Cache) SetOf(addr mem.Addr) uint64 { return c.setIndex(addr.Line()) }
 // set/way, which line is present, its coherence state, dirtiness and
 // speculative mark. Invalid ways hash as zero — an invalid line keeps
 // its stale Tag, which no probe can observe, so it must not perturb
-// the fingerprint. Epoch and Owner are bookkeeping for rollback and
-// dummy-miss decisions, not probeable state, and are excluded too.
+// the fingerprint. Epoch, Owner and DowngradeDeferred are bookkeeping
+// for rollback and the in-window rules, not probeable state, and are
+// excluded too.
 // The differential leak detector compares fingerprints of two runs
 // that differ only in secret memory contents.
 func (c *Cache) StateFingerprint() uint64 {

@@ -131,15 +131,34 @@ func TestSpeculativeMarkAndCommit(t *testing.T) {
 	}
 }
 
-func TestCommitEpoch(t *testing.T) {
+// TestCommitAppliesDeferredDowngrade: a downgrade deferred on a
+// speculative line is applied, and reported, by the Commit that ends
+// the speculation; a plain Commit reports nothing, and the mark leaves
+// with an invalidated line.
+func TestCommitAppliesDeferredDowngrade(t *testing.T) {
 	c := smallCache(4, nil)
-	c.Fill(addrFor(0, 1), 0, true, 3)
-	c.Fill(addrFor(1, 1), 0, true, 5)
-	if n := c.CommitEpoch(3); n != 1 {
-		t.Fatalf("committed %d lines, want 1", n)
+	a, b := addrFor(0, 1), addrFor(1, 1)
+	c.Fill(a, 0, true, 3)
+	c.Fill(b, 0, true, 5)
+	c.DeferDowngrade(a)
+	c.DeferDowngrade(b)
+	c.DeferDowngrade(addrFor(2, 1)) // absent: no effect
+	if l, _ := c.ProbeState(a); l.State != Exclusive || !l.DowngradeDeferred {
+		t.Fatalf("deferred line %+v in the window, want E and marked", l)
 	}
-	if len(c.SpeculativeLines()) != 1 {
-		t.Fatal("epoch-5 line should remain speculative")
+	if !c.Commit(a) {
+		t.Fatal("Commit did not report the deferred downgrade")
+	}
+	if l, _ := c.ProbeState(a); l.State != Shared || l.Speculative || l.DowngradeDeferred {
+		t.Fatalf("committed line %+v, want S, non-speculative, unmarked", l)
+	}
+	if c.Commit(a) {
+		t.Fatal("second Commit re-applied the downgrade")
+	}
+	c.Invalidate(b)
+	c.Fill(b, 0, true, 6)
+	if c.Commit(b) {
+		t.Fatal("the deferred downgrade survived the line's invalidation")
 	}
 }
 

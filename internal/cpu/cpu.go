@@ -758,21 +758,19 @@ func (c *CPU) squash(i int, actualTaken bool) {
 	// T4, waiting for older in-flight correct-path loads to drain, costs
 	// nothing here: a load is marked done at issue, so cleanup starts at
 	// once.
-	cleanupStart := c.cycle
 	c.hier.MSHR().CleanSpeculative(c.rob[bp].seq)
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.rob[bp].seq,
-		Now:                c.cycle,
-		Transients:         transients,
-		InflightCleaned:    inflightCleaned,
-		OldestInflightDone: cleanupStart,
+		Epoch:           c.rob[bp].seq,
+		Now:             c.cycle,
+		Transients:      transients,
+		InflightCleaned: inflightCleaned,
 	})
 
 	c.stats.LastCleanupStall = uint64(res.StallCycles)
 	c.met.cleanups.Inc()
 	c.met.cleanupStall.ObserveInt(uint64(res.StallCycles))
 	c.emit(KindCleanup, bp, int64(res.StallCycles))
-	stallEnd := cleanupStart + uint64(res.StallCycles)
+	stallEnd := c.cycle + uint64(res.StallCycles)
 	if stallEnd > c.stallUntil {
 		c.stats.CleanupStall += stallEnd - max64(c.stallUntil, c.cycle)
 		c.stallUntil = stallEnd
@@ -816,11 +814,10 @@ func (c *CPU) trap() {
 
 	c.hier.MSHR().CleanSpeculative(c.rob[dp].seq)
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.rob[dp].seq,
-		Now:                c.cycle,
-		Transients:         transients,
-		InflightCleaned:    inflightCleaned,
-		OldestInflightDone: c.cycle,
+		Epoch:           c.rob[dp].seq,
+		Now:             c.cycle,
+		Transients:      transients,
+		InflightCleaned: inflightCleaned,
 	})
 
 	c.stats.LastCleanupStall = uint64(res.StallCycles)

@@ -27,10 +27,16 @@ type coreMetrics struct {
 	robGauge *telemetry.Gauge
 }
 
-// SetMetrics binds the core to a telemetry registry, resolving every
-// handle once. A nil registry detaches instrumentation (the disabled
-// fast path). Metric names are catalogued in docs/OBSERVABILITY.md.
+// SetMetrics binds the core, its hierarchy (and through it every cache
+// level) and its undo scheme, when the scheme has a SetMetrics method,
+// to a telemetry registry, resolving every handle once. A nil registry
+// detaches instrumentation (the disabled fast path). Metric names are
+// catalogued in docs/OBSERVABILITY.md.
 func (c *CPU) SetMetrics(r *telemetry.Registry) {
+	c.hier.SetMetrics(r)
+	if ms, ok := c.scheme.(interface{ SetMetrics(*telemetry.Registry) }); ok {
+		ms.SetMetrics(r)
+	}
 	if r == nil {
 		c.met = coreMetrics{}
 		return

@@ -524,11 +524,10 @@ func (c *scanCore) squash(i int, actualTaken bool) {
 	c.hier.MSHR().CleanSpeculative(c.rob[bp].seq)
 	c.transientsBuf = transients
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.rob[bp].seq,
-		Now:                c.cycle,
-		Transients:         transients,
-		InflightCleaned:    inflightCleaned,
-		OldestInflightDone: cleanupStart,
+		Epoch:           c.rob[bp].seq,
+		Now:             c.cycle,
+		Transients:      transients,
+		InflightCleaned: inflightCleaned,
 	})
 
 	c.stats.LastCleanupStall = uint64(res.StallCycles)
@@ -599,11 +598,10 @@ func (c *scanCore) trap() {
 	c.hier.MSHR().CleanSpeculative(c.rob[dp].seq)
 	c.transientsBuf = transients
 	res := c.scheme.OnSquash(c.hier, undo.SquashContext{
-		Epoch:              c.rob[dp].seq,
-		Now:                c.cycle,
-		Transients:         transients,
-		InflightCleaned:    inflightCleaned,
-		OldestInflightDone: c.cycle,
+		Epoch:           c.rob[dp].seq,
+		Now:             c.cycle,
+		Transients:      transients,
+		InflightCleaned: inflightCleaned,
 	})
 
 	c.stats.LastCleanupStall = uint64(res.StallCycles)

@@ -98,6 +98,36 @@ func TestCoreMetricsMatchRunStats(t *testing.T) {
 	}
 }
 
+// TestSetMetricsBindsWholeMachine: one SetMetrics on the core binds the
+// core, every cache level, the hierarchy and the undo scheme.
+func TestSetMetricsBindsWholeMachine(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := rig(t, undo.NewCleanupSpec())
+	c.SetMetrics(reg)
+	st := mistrainThenTrap(t, c, 0x54000, 6)
+	if st.Squashes == 0 {
+		t.Fatal("no squash: mistraining failed")
+	}
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{
+		"cpu_squashes_total",      // core
+		"cache_l1d_misses_total",  // data cache
+		"cache_l1i_misses_total",  // instruction cache
+		"cache_l2_misses_total",   // shared level
+		"hier_mem_accesses_total", // hierarchy
+		"undo_squashes_total",     // undo scheme
+		"undo_invalidated_total",  // undo scheme rollback work
+		"cache_l1d_invalidations_total",
+	} {
+		if counters[name] == 0 {
+			t.Errorf("%s = 0 after one core.SetMetrics and a squashing run", name)
+		}
+	}
+	if got := counters["undo_squashes_total"]; got != st.Squashes {
+		t.Errorf("undo_squashes_total = %d, want the core's %d squashes", got, st.Squashes)
+	}
+}
+
 func TestFlightRecorderRingSemantics(t *testing.T) {
 	f := NewFlightRecorder(4)
 	for i := uint64(1); i <= 6; i++ {

@@ -40,10 +40,6 @@ func (g *Generator) Telemetry(prog *isa.Program, o Options) (map[string]telemetr
 		hier := memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), coreMem)
 		core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
 		core.SetMetrics(reg)
-		hier.SetMetrics(reg)
-		if ms, ok := scheme.(interface{ SetMetrics(*telemetry.Registry) }); ok {
-			ms.SetMetrics(reg)
-		}
 		core.Run(prog)
 		out[spec] = reg.Snapshot()
 	}

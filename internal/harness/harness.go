@@ -187,17 +187,6 @@ type Outcome struct {
 // OK reports whether the cell produced a value.
 func (o Outcome) OK() bool { return o.Class == ClassOK }
 
-// Decode unmarshals the cell's value.
-func (o Outcome) Decode(v any) error {
-	if !o.OK() {
-		if o.Err != nil {
-			return o.Err
-		}
-		return fmt.Errorf("harness: cell %s has no value (%s)", o.Cell, o.Class)
-	}
-	return json.Unmarshal(o.Value, v)
-}
-
 // Report summarizes one Sweep. Outcomes are in input order regardless
 // of scheduling, so result aggregation is deterministic across worker
 // counts.

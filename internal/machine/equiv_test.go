@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/memsys"
+	"repro/internal/multicore"
 	"repro/internal/noise"
 	"repro/internal/undo"
 )
@@ -179,5 +180,26 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 	}
 	if got := core.Cycle(); got != st.Cycles {
 		t.Errorf("cycle after rewind+restore = %d, want %d", got, st.Cycles)
+	}
+}
+
+// TestSnapshotRefusesMultiAgentCore: a core of a multi-agent machine
+// shares its L2 (and, under SMT, its L1D) and backing memory with its
+// siblings, so a per-core snapshot would capture half a machine.
+// Snapshot must fail instead, for every core of both topologies.
+func TestSnapshotRefusesMultiAgentCore(t *testing.T) {
+	smt, err := multicore.NewSMT(1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sys := range map[string]*multicore.System{
+		"multicore": multicore.MustNew(multicore.DefaultConfig(1)),
+		"smt":       smt,
+	} {
+		for i := 0; i < 2; i++ {
+			if snap, err := machine.Of(sys.Core(i)).Snapshot(); err == nil || snap != nil {
+				t.Errorf("%s core %d: Snapshot = %v, %v; want an error", name, i, snap, err)
+			}
+		}
 	}
 }

@@ -34,8 +34,10 @@ type stateful interface {
 type silent interface{ Silent() bool }
 
 // State identifies one single-core machine by its core; the hierarchy
-// and backing memory are reached through it. Multi-core machines
-// snapshot through multicore.System instead.
+// and backing memory are reached through it. A core of a multi-agent
+// machine (multicore.System) shares cache levels and memory with its
+// siblings, so it cannot be snapshotted on its own: Snapshot refuses it
+// rather than capture half a machine.
 type State struct {
 	core *cpu.CPU
 }
@@ -70,9 +72,12 @@ func (s *Snapshot) Release() { s.mem.Release() }
 // occupancy + resident memory pages); no page data is copied (the
 // memory side is a COW fork). It fails when a component holds state the
 // capture interfaces cannot reach (e.g. a custom noise model without
-// SaveState).
+// SaveState) or when the core's hierarchy is shared with other agents.
 func (s State) Snapshot() (*Snapshot, error) {
 	core := s.core
+	if core.Hierarchy().Shared() {
+		return nil, fmt.Errorf("machine: core shares its hierarchy with other agents; a multi-agent machine has no per-core snapshot")
+	}
 	snap := &Snapshot{
 		mem:  core.Hierarchy().Memory().Fork(),
 		hier: core.Hierarchy().SaveState(),

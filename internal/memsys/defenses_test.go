@@ -108,10 +108,10 @@ func TestUnsafeConfigDisablesProtections(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	h := MustNew(cfg, nil)
-	h.Read(0x1000, true, 1, 0)
+	owner, reader := agents(t, cfg)
+	owner.Read(0x1000, true, 1, 0)
 	// Speculative line visible cross-agent: the classic leak.
-	if res := h.CrossRead(1, 0x1000, 0); !res.L2Hit || res.Dummy {
+	if res := reader.Read(0x1000, false, 0, 0); !res.L2Hit || res.Dummy {
 		t.Fatalf("unsafe config should expose the transient line: %+v", res)
 	}
 }
@@ -136,20 +136,24 @@ func TestReadShadowLeavesNoTrace(t *testing.T) {
 	}
 }
 
-func TestCrossReadMissPath(t *testing.T) {
-	h := MustNew(DefaultConfig(10), nil)
-	res := h.CrossRead(1, 0x6000, 0)
-	if !res.MemAccess {
+// TestSecondAgentReadMissPath: a reader's cold miss installs the line
+// in the shared L2 as its own, and the owner's later non-speculative
+// hit on it downgrades it to Shared at once.
+func TestSecondAgentReadMissPath(t *testing.T) {
+	owner, reader := agents(t, DefaultConfig(10))
+	if res := reader.Read(0x6000, false, 0, 0); !res.MemAccess {
 		t.Fatal("cold cross read should miss to memory")
 	}
-	// The line is now Shared in L2.
-	l, ok := h.L2().ProbeState(0x6000)
-	if !ok || l.State != cache.Shared {
-		t.Fatalf("cross-filled line %+v ok=%v", l, ok)
+	l, ok := reader.L2().ProbeState(0x6000)
+	if !ok || l.Owner != 1 || l.State != cache.Exclusive {
+		t.Fatalf("reader-filled line %+v ok=%v, want E owned by agent 1", l, ok)
 	}
-	// Second cross read hits.
-	if res := h.CrossRead(1, 0x6000, 0); !res.L2Hit {
-		t.Fatal("second cross read should hit")
+	if res := owner.Read(0x6000, false, 0, 0); !res.L2Hit {
+		t.Fatal("the other agent's read should hit the shared L2")
+	}
+	if l, _ := owner.L2().ProbeState(0x6000); l.State != cache.Shared || owner.Stats().AppliedDowngrades != 1 {
+		t.Fatalf("cross-agent hit on a committed E line: state %v, applied %d; want S, 1",
+			l.State, owner.Stats().AppliedDowngrades)
 	}
 }
 
@@ -175,21 +179,61 @@ func TestWriteThroughL2HitPath(t *testing.T) {
 }
 
 func TestCommitLineAppliesPendingDowngrade(t *testing.T) {
-	cfg := DefaultConfig(13)
-	cfg.DummyMissOnSpecHit = false
-	h := MustNew(cfg, nil)
-	h.Read(0x9000, true, 4, 0)
-	h.CrossRead(1, 0x9000, 0)
-	if h.PendingDowngrades() != 1 {
-		t.Fatal("expected a pending downgrade")
+	owner, reader := agents(t, noDummyConfig(13))
+	owner.Read(0x9000, true, 4, 0)
+	reader.Read(0x9000, false, 0, 0)
+	if reader.Stats().DelayedDowngrades != 1 {
+		t.Fatal("expected a deferred downgrade")
 	}
-	h.CommitLine(0x9000)
-	if h.PendingDowngrades() != 0 {
-		t.Fatal("commit did not drain the pending downgrade")
+	owner.CommitLine(0x9000)
+	if owner.Stats().AppliedDowngrades != 1 {
+		t.Fatal("commit did not apply the deferred downgrade")
 	}
-	l, _ := h.L2().ProbeState(0x9000)
+	l, _ := owner.L2().ProbeState(0x9000)
 	if l.State != cache.Shared {
 		t.Fatalf("state %v after commit, want S", l.State)
+	}
+}
+
+// TestDeferredDowngradeLivesOnSharedLine drives CleanupSpec's delayed-
+// downgrade rule end to end through Read on a second agent: the reader's
+// hit on the owner's speculative E line is deferred, then the owner's
+// speculation either commits (the line turns S) or is squashed (the
+// downgrade leaves with the line).
+func TestDeferredDowngradeLivesOnSharedLine(t *testing.T) {
+	const addr = mem.Addr(0xd000)
+	for _, squash := range []bool{false, true} {
+		owner, reader := agents(t, noDummyConfig(14))
+		owner.Read(addr, true, 6, 0)
+		if res := reader.Read(addr, false, 0, 0); !res.L2Hit || res.Dummy {
+			t.Fatalf("squash=%v: reader read %+v, want a plain L2 hit", squash, res)
+		}
+		if got := reader.Stats().DelayedDowngrades; got != 1 {
+			t.Fatalf("squash=%v: DelayedDowngrades = %d, want 1", squash, got)
+		}
+		if l, _ := owner.L2().ProbeState(addr); l.State != cache.Exclusive {
+			t.Fatalf("squash=%v: line %v in the window, want E", squash, l.State)
+		}
+		if squash {
+			owner.InvalidateTransient(addr)
+			owner.Read(addr, false, 0, 0) // reinstall, committed
+			owner.CommitLine(addr)
+			if l, _ := owner.L2().ProbeState(addr); l.State != cache.Exclusive {
+				t.Fatalf("squashed line's downgrade survived: state %v", l.State)
+			}
+		} else {
+			owner.CommitLine(addr)
+			if l, _ := owner.L2().ProbeState(addr); l.State != cache.Shared {
+				t.Fatalf("commit left the line %v, want S", l.State)
+			}
+		}
+		want := uint64(1)
+		if squash {
+			want = 0
+		}
+		if got := owner.Stats().AppliedDowngrades; got != want {
+			t.Fatalf("squash=%v: AppliedDowngrades = %d, want %d", squash, got, want)
+		}
 	}
 }
 
@@ -197,36 +241,43 @@ func TestNewSharedValidation(t *testing.T) {
 	cfg := DefaultConfig(20)
 	backing := mem.NewMemory()
 	l2 := cache.New(cfg.L2)
-	if _, err := NewShared(cfg, backing, nil, 0); err == nil {
+	if _, err := NewShared(cfg, backing, nil, nil, 0); err == nil {
 		t.Fatal("nil shared L2 accepted")
 	}
-	if _, err := NewShared(cfg, nil, l2, 0); err == nil {
+	if _, err := NewShared(cfg, nil, nil, l2, 0); err == nil {
 		t.Fatal("nil backing accepted")
 	}
 	bad := cfg
 	bad.L1D.Sets = 3
-	if _, err := NewShared(bad, backing, l2, 0); err == nil {
-		t.Fatal("bad L1D accepted")
+	if _, err := NewShared(bad, backing, nil, l2, 0); err == nil {
+		t.Fatal("bad private L1D accepted")
 	}
-	h, err := NewShared(cfg, backing, l2, 3)
-	if err != nil || h.Agent() != 3 {
+	h, err := NewShared(cfg, backing, nil, l2, 3)
+	if err != nil || h.Agent() != 3 || !h.Shared() || h.L2() != l2 {
 		t.Fatalf("shared hierarchy: %v agent=%d", err, h.Agent())
+	}
+	if MustNew(cfg, nil).Shared() {
+		t.Fatal("a New hierarchy reports shared levels")
 	}
 }
 
+// A shared L1D makes the agent an SMT thread of the L1D's core: the
+// hierarchy uses that L1D as given and still needs the shared L2.
 func TestNewSMTValidation(t *testing.T) {
 	cfg := DefaultConfig(21)
 	backing := mem.NewMemory()
 	l1 := cache.New(cfg.L1D)
 	l2 := cache.New(cfg.L2)
-	if _, err := NewSMT(cfg, backing, nil, l2, 0); err == nil {
-		t.Fatal("nil shared L1 accepted")
-	}
-	if _, err := NewSMT(cfg, backing, l1, nil, 0); err == nil {
+	if _, err := NewShared(cfg, backing, l1, nil, 0); err == nil {
 		t.Fatal("nil shared L2 accepted")
 	}
-	h, err := NewSMT(cfg, backing, l1, l2, 1)
-	if err != nil || h.L1D() != l1 || h.Agent() != 1 {
-		t.Fatalf("SMT hierarchy wiring wrong: %v", err)
+	bad := cfg
+	bad.L1D.Sets = 3
+	h, err := NewShared(bad, backing, l1, l2, 1)
+	if err != nil {
+		t.Fatalf("private L1D config checked against a shared L1D: %v", err)
+	}
+	if h.L1D() != l1 || h.L2() != l2 || h.Agent() != 1 || !h.Shared() {
+		t.Fatal("SMT hierarchy wiring wrong")
 	}
 }

@@ -129,12 +129,6 @@ type Stats struct {
 	RestorationsFromL2 uint64
 }
 
-// pendingDowngrade is a deferred M/E → S transition.
-type pendingDowngrade struct {
-	addr  mem.Addr
-	epoch uint64
-}
-
 // Hierarchy is the three-level memory system of one simulated core plus
 // the shared L2 visible to other agents.
 type Hierarchy struct {
@@ -154,16 +148,13 @@ type Hierarchy struct {
 	// back-invalidation must remove copies from every private L1.
 	peers []*cache.Cache
 
-	pending []pendingDowngrade
-	stats   Stats
-	met     hierMetrics
+	stats Stats
+	met   hierMetrics
 
-	// ownsL1D/ownsL2 record which levels this hierarchy owns exclusively
-	// (set at construction). SaveState captures only owned levels; shared
-	// levels are captured once by whoever owns the whole machine (e.g.
-	// multicore.System), not once per core.
-	ownsL1D bool
-	ownsL2  bool
+	// shared records that some cache level belongs to other hierarchies
+	// too (built by NewShared). SaveState cannot capture such a
+	// hierarchy consistently on its own, so machine snapshots refuse it.
+	shared bool
 }
 
 // AttachPeerL1 registers another core's private L1D for coherence-
@@ -193,66 +184,55 @@ func New(cfg Config, backing *mem.Memory) (*Hierarchy, error) {
 		backing = mem.NewMemory()
 	}
 	return &Hierarchy{
-		cfg:     cfg,
-		l1i:     cache.New(cfg.L1I),
-		l1d:     cache.New(cfg.L1D),
-		l2:      cache.New(cfg.L2),
-		mshr:    cache.NewMSHRFile(cfg.MSHREntries),
-		mem:     backing,
-		ownsL1D: true,
-		ownsL2:  true,
+		cfg:  cfg,
+		l1i:  cache.New(cfg.L1I),
+		l1d:  cache.New(cfg.L1D),
+		l2:   cache.New(cfg.L2),
+		mshr: cache.NewMSHRFile(cfg.MSHREntries),
+		mem:  backing,
 	}, nil
 }
 
-// NewShared builds a per-core hierarchy (private L1I/L1D, own MSHRs)
-// over an existing shared L2 and backing memory — the multi-core
-// construction. agent must be unique per core.
-func NewShared(cfg Config, backing *mem.Memory, sharedL2 *cache.Cache, agent int) (*Hierarchy, error) {
-	if err := cfg.L1I.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.L1D.Validate(); err != nil {
-		return nil, err
-	}
+// NewShared builds one agent's view of a multi-agent machine over an
+// existing shared L2 and backing memory, with its own L1I and MSHRs.
+// A nil sharedL1D gives the agent a private L1D (one core of a
+// multi-core machine); a non-nil one is shared with a sibling hardware
+// thread (SMT), where NoMo way partitioning in the L1 config keeps the
+// threads' fills apart. agent must be unique per hierarchy; it selects
+// the thread's partition and identifies its speculative installs to
+// the in-window rules.
+func NewShared(cfg Config, backing *mem.Memory, sharedL1D, sharedL2 *cache.Cache, agent int) (*Hierarchy, error) {
 	if sharedL2 == nil || backing == nil {
 		return nil, fmt.Errorf("memsys: shared hierarchy needs an L2 and backing memory")
 	}
-	return &Hierarchy{
-		cfg:     cfg,
-		l1i:     cache.New(cfg.L1I),
-		l1d:     cache.New(cfg.L1D),
-		l2:      sharedL2,
-		mshr:    cache.NewMSHRFile(cfg.MSHREntries),
-		mem:     backing,
-		agent:   agent,
-		ownsL1D: true,
-	}, nil
-}
-
-// NewSMT builds a hardware-thread view: the L1D and L2 are both shared
-// (SMT threads co-reside on one core), with NoMo way partitioning in
-// the L1 config keeping the threads' fills apart. agent selects the
-// thread's partition.
-func NewSMT(cfg Config, backing *mem.Memory, sharedL1D, sharedL2 *cache.Cache, agent int) (*Hierarchy, error) {
-	if sharedL1D == nil || sharedL2 == nil || backing == nil {
-		return nil, fmt.Errorf("memsys: SMT hierarchy needs shared L1D, L2 and backing memory")
-	}
 	if err := cfg.L1I.Validate(); err != nil {
 		return nil, err
 	}
+	l1d := sharedL1D
+	if l1d == nil {
+		if err := cfg.L1D.Validate(); err != nil {
+			return nil, err
+		}
+		l1d = cache.New(cfg.L1D)
+	}
 	return &Hierarchy{
-		cfg:   cfg,
-		l1i:   cache.New(cfg.L1I),
-		l1d:   sharedL1D,
-		l2:    sharedL2,
-		mshr:  cache.NewMSHRFile(cfg.MSHREntries),
-		mem:   backing,
-		agent: agent,
+		cfg:    cfg,
+		l1i:    cache.New(cfg.L1I),
+		l1d:    l1d,
+		l2:     sharedL2,
+		mshr:   cache.NewMSHRFile(cfg.MSHREntries),
+		mem:    backing,
+		agent:  agent,
+		shared: true,
 	}, nil
 }
 
 // Agent returns this hierarchy's core identity.
 func (h *Hierarchy) Agent() int { return h.agent }
+
+// Shared reports whether the hierarchy shares cache levels with other
+// agents (it was built by NewShared).
+func (h *Hierarchy) Shared() bool { return h.shared }
 
 // MustNew is New for construction sites where the config is static.
 func MustNew(cfg Config, backing *mem.Memory) *Hierarchy {
@@ -284,9 +264,11 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// Read performs a data load by the owning core (agent 0 by convention).
-// spec marks the load as issued under an unresolved branch in window
-// epoch. now is the current cycle, used only for MSHR fill timing.
+// Read performs a data load by this hierarchy's agent. spec marks the
+// load as issued under an unresolved branch in window epoch. now is the
+// current cycle, used only for MSHR fill timing. Read is the only way
+// one agent touches another's lines: a hit on a line another agent
+// installed speculatively is served by CleanupSpec's in-window rules.
 func (h *Hierarchy) Read(addr mem.Addr, spec bool, epoch uint64, now uint64) AccessResult {
 	h.stats.Reads++
 	res := AccessResult{Addr: addr, Value: h.mem.ReadWord(addr)}
@@ -326,10 +308,12 @@ func (h *Hierarchy) Read(addr mem.Addr, spec bool, epoch uint64, now uint64) Acc
 		res.L2Hit = true
 		lat += h.cfg.L2.HitLatency
 		// A cross-agent hit on an M/E line wants a downgrade to S —
-		// deferred while the line is speculative.
+		// deferred while the line is speculative: the mark stays on the
+		// shared line until the owner's CommitLine applies it or its
+		// rollback invalidates the line.
 		if line.Owner != h.agent && (line.State == cache.Modified || line.State == cache.Exclusive) {
 			if line.Speculative && h.cfg.DelayCoherenceDowngrade {
-				h.pending = append(h.pending, pendingDowngrade{addr: addr.Line(), epoch: line.Epoch})
+				h.l2.DeferDowngrade(addr)
 				h.stats.DelayedDowngrades++
 				h.met.delayedDowngrades.Inc()
 			} else {
@@ -503,44 +487,16 @@ func (h *Hierarchy) Probe(addr mem.Addr) (inL1, inL2 bool) {
 	return h.l1d.Probe(addr), h.l2.Probe(addr)
 }
 
-// CommitEpoch clears speculative marks up to and including epoch in both
-// data-holding levels and applies any coherence downgrades that were
-// deferred while those lines were speculative.
-func (h *Hierarchy) CommitEpoch(epoch uint64) {
-	h.l1d.CommitEpoch(epoch)
-	h.l2.CommitEpoch(epoch)
-	kept := h.pending[:0]
-	for _, p := range h.pending {
-		if p.epoch <= epoch {
-			if h.l2.SetState(p.addr, cache.Shared) {
-				h.stats.AppliedDowngrades++
-				h.met.appliedDowngrades.Inc()
-			}
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	h.pending = kept
-}
-
 // CommitLine clears the speculative mark on one line in both levels and
-// applies any coherence downgrade deferred for it. The CPU calls this
-// per load when the branch shadowing it resolves on the correct path.
+// applies a coherence downgrade another agent's Read deferred on it.
+// The CPU calls this per load when the branch shadowing it resolves on
+// the correct path.
 func (h *Hierarchy) CommitLine(addr mem.Addr) {
 	h.l1d.Commit(addr)
-	h.l2.Commit(addr)
-	kept := h.pending[:0]
-	for _, p := range h.pending {
-		if p.addr.Line() == addr.Line() {
-			if h.l2.SetState(p.addr, cache.Shared) {
-				h.stats.AppliedDowngrades++
-				h.met.appliedDowngrades.Inc()
-			}
-			continue
-		}
-		kept = append(kept, p)
+	if h.l2.Commit(addr) {
+		h.stats.AppliedDowngrades++
+		h.met.appliedDowngrades.Inc()
 	}
-	h.pending = kept
 }
 
 // InvalidateTransient removes a transiently installed line from both L1
@@ -561,17 +517,10 @@ func (h *Hierarchy) InvalidateTransientIn(addr mem.Addr, l1, l2 bool) (inL1, inL
 	if l2 {
 		inL2, _ = h.l2.Invalidate(addr)
 		// Inclusive invariant: a line leaving the shared L2 must also
-		// leave every sibling L1 (e.g. a prober's dummy-miss copy).
+		// leave every sibling L1 (e.g. a prober's dummy-miss copy). A
+		// downgrade deferred on the line leaves with it.
 		h.invalidatePeers(addr)
 	}
-	// Drop any downgrade deferred for this line; it no longer exists.
-	kept := h.pending[:0]
-	for _, p := range h.pending {
-		if p.addr.Line() != addr.Line() {
-			kept = append(kept, p)
-		}
-	}
-	h.pending = kept
 	return inL1, inL2
 }
 
@@ -595,52 +544,6 @@ func (h *Hierarchy) RestoreL1(addr mem.Addr) (fromL2 bool) {
 	h.l1d.Fill(addr, h.agent, false, 0)
 	return fromL2
 }
-
-// CrossRead models another agent (a different core) reading addr through
-// the shared L2. When the line was speculatively installed by the
-// protected core and DummyMissOnSpecHit is on, the access is served as a
-// dummy miss: full memory latency, no state change — so the other agent
-// cannot observe the transient install (paper §II-B).
-func (h *Hierarchy) CrossRead(agent int, addr mem.Addr, now uint64) AccessResult {
-	res := AccessResult{Addr: addr, Value: h.mem.ReadWord(addr)}
-	line, present := h.l2.ProbeState(addr)
-	if present && line.Speculative && h.cfg.DummyMissOnSpecHit {
-		res.Dummy = true
-		res.Latency = h.cfg.L2.HitLatency + h.cfg.MemLatency
-		h.l2.CountDummyMiss()
-		h.stats.DummyMisses++
-		h.met.dummyMisses.Inc()
-		return res
-	}
-	if present {
-		res.L2Hit = true
-		res.Latency = h.cfg.L2.HitLatency
-		// A read by another agent wants a Shared copy. Downgrading an
-		// M/E line is an unsafe operation while it is speculative.
-		if line.State == cache.Modified || line.State == cache.Exclusive {
-			if line.Speculative && h.cfg.DelayCoherenceDowngrade {
-				h.pending = append(h.pending, pendingDowngrade{addr: addr.Line(), epoch: line.Epoch})
-				h.stats.DelayedDowngrades++
-				h.met.delayedDowngrades.Inc()
-			} else {
-				h.l2.SetState(addr, cache.Shared)
-				h.stats.AppliedDowngrades++
-				h.met.appliedDowngrades.Inc()
-			}
-		}
-		return res
-	}
-	res.MemAccess = true
-	res.Latency = h.cfg.L2.HitLatency + h.cfg.MemLatency
-	h.stats.MemAccesses++
-	h.met.memAccesses.Inc()
-	h.l2.Fill(addr, agent, false, 0)
-	h.l2.SetState(addr, cache.Shared)
-	return res
-}
-
-// PendingDowngrades returns how many coherence downgrades are deferred.
-func (h *Hierarchy) PendingDowngrades() int { return len(h.pending) }
 
 // WarmRead loads addr non-speculatively with no timing consequence
 // recorded; used by experiment setup code to pre-warm caches.

@@ -17,6 +17,35 @@ func defaultHierarchy(t *testing.T) *Hierarchy {
 	return h
 }
 
+// agents builds two agents with private L1Ds over one L2 and backing
+// memory, wired as coherence peers — the hierarchies of a two-core
+// multicore.System without the pipelines. Agent 0 is the owner that
+// installs lines speculatively, agent 1 the reader.
+func agents(t *testing.T, cfg Config) (owner, reader *Hierarchy) {
+	t.Helper()
+	backing := mem.NewMemory()
+	l2 := cache.New(cfg.L2)
+	owner, err := NewShared(cfg, backing, nil, l2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err = NewShared(cfg, backing, nil, l2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.AttachPeerL1(reader.L1D())
+	reader.AttachPeerL1(owner.L1D())
+	return owner, reader
+}
+
+// noDummyConfig turns dummy misses off so a reader's hit on the owner's
+// speculative line reaches the delayed-downgrade rule.
+func noDummyConfig(seed int64) Config {
+	cfg := DefaultConfig(seed)
+	cfg.DummyMissOnSpecHit = false
+	return cfg
+}
+
 func TestDefaultConfigMatchesTableI(t *testing.T) {
 	cfg := DefaultConfig(0)
 	if got := cfg.L1I.SizeBytes(); got != 32*1024 {
@@ -88,7 +117,7 @@ func TestSpeculativeMarkPropagates(t *testing.T) {
 	if !ok1 || !ok2 || !l1.Speculative || !l2.Speculative || l1.Epoch != 9 {
 		t.Fatalf("speculative marks l1=%+v l2=%+v", l1, l2)
 	}
-	h.CommitEpoch(9)
+	h.CommitLine(addr)
 	l1, _ = h.L1D().ProbeState(addr)
 	l2, _ = h.L2().ProbeState(addr)
 	if l1.Speculative || l2.Speculative {
@@ -180,30 +209,32 @@ func TestWriteAllocateAndDirty(t *testing.T) {
 }
 
 func TestDummyMissOnSpeculativeLine(t *testing.T) {
-	h := defaultHierarchy(t)
+	owner, reader := agents(t, DefaultConfig(1))
 	addr := mem.Addr(0x9000)
-	h.Read(addr, true, 2, 0) // transient install by the protected core
-	res := h.CrossRead(1, addr, 0)
+	owner.Read(addr, true, 2, 0) // transient install by the protected core
+	res := reader.Read(addr, false, 0, 0)
 	if !res.Dummy {
 		t.Fatal("cross-agent hit on speculative line must be a dummy miss")
 	}
-	wantLat := h.Config().L2.HitLatency + h.Config().MemLatency
+	cfg := reader.Config()
+	wantLat := cfg.L1D.HitLatency + cfg.L2.HitLatency + cfg.MemLatency
 	if res.Latency != wantLat {
 		t.Fatalf("dummy miss latency %d, want %d (indistinguishable from a miss)", res.Latency, wantLat)
 	}
 	// After commit the same access is a genuine hit.
-	h.CommitEpoch(2)
-	res = h.CrossRead(1, addr, 0)
+	owner.CommitLine(addr)
+	reader.L1D().Invalidate(addr) // drop the reader's private copy
+	res = reader.Read(addr, false, 0, 0)
 	if res.Dummy || !res.L2Hit {
 		t.Fatalf("post-commit cross read: %+v", res)
 	}
 }
 
 func TestDummyMissDisabledInUnsafeConfig(t *testing.T) {
-	h := MustNew(UnsafeConfig(), nil)
+	owner, reader := agents(t, UnsafeConfig())
 	addr := mem.Addr(0xa000)
-	h.Read(addr, true, 2, 0)
-	res := h.CrossRead(1, addr, 0)
+	owner.Read(addr, true, 2, 0)
+	res := reader.Read(addr, false, 0, 0)
 	if res.Dummy {
 		t.Fatal("unsafe baseline must not serve dummy misses")
 	}
@@ -213,49 +244,47 @@ func TestDummyMissDisabledInUnsafeConfig(t *testing.T) {
 }
 
 func TestDelayedCoherenceDowngrade(t *testing.T) {
-	h := defaultHierarchy(t)
+	// Dummy misses off isolates the downgrade rule: the shared line is
+	// visible to the reader.
+	owner, reader := agents(t, noDummyConfig(2))
 	addr := mem.Addr(0xb000)
-	h.Read(addr, true, 3, 0)
-	// Force the shared line visible (not dummy) to isolate the
-	// downgrade rule: disable dummy misses for this check.
-	cfg := DefaultConfig(2)
-	cfg.DummyMissOnSpecHit = false
-	h2 := MustNew(cfg, nil)
-	h2.Read(addr, true, 3, 0)
-	res := h2.CrossRead(1, addr, 0)
+	owner.Read(addr, true, 3, 0)
+	res := reader.Read(addr, false, 0, 0)
 	if !res.L2Hit {
 		t.Fatal("expected L2 hit")
 	}
-	if h2.PendingDowngrades() != 1 {
-		t.Fatalf("downgrade not deferred: pending=%d", h2.PendingDowngrades())
+	if got := reader.Stats().DelayedDowngrades; got != 1 {
+		t.Fatalf("downgrade not deferred: delayed=%d", got)
 	}
-	l, _ := h2.L2().ProbeState(addr)
+	l, _ := owner.L2().ProbeState(addr)
 	if l.State == cache.Shared {
 		t.Fatal("downgrade applied during speculation window")
 	}
-	h2.CommitEpoch(3)
-	l, _ = h2.L2().ProbeState(addr)
+	owner.CommitLine(addr)
+	l, _ = owner.L2().ProbeState(addr)
 	if l.State != cache.Shared {
 		t.Fatalf("deferred downgrade not applied on commit: state %v", l.State)
 	}
-	if h2.PendingDowngrades() != 0 {
-		t.Fatal("pending queue not drained")
+	if l.DowngradeDeferred {
+		t.Fatal("deferred downgrade still marked after commit")
 	}
 }
 
 func TestSquashedLineDropsPendingDowngrade(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.DummyMissOnSpecHit = false
-	h := MustNew(cfg, nil)
+	owner, reader := agents(t, noDummyConfig(3))
 	addr := mem.Addr(0xc000)
-	h.Read(addr, true, 4, 0)
-	h.CrossRead(1, addr, 0)
-	if h.PendingDowngrades() != 1 {
-		t.Fatal("expected one pending downgrade")
+	owner.Read(addr, true, 4, 0)
+	reader.Read(addr, false, 0, 0)
+	if l, _ := owner.L2().ProbeState(addr); !l.DowngradeDeferred {
+		t.Fatal("expected a deferred downgrade on the shared line")
 	}
-	h.InvalidateTransient(addr)
-	if h.PendingDowngrades() != 0 {
-		t.Fatal("invalidation must drop the pending downgrade for the dead line")
+	owner.InvalidateTransient(addr)
+	// A fresh install of the same line carries no stale downgrade.
+	owner.Read(addr, true, 5, 0)
+	owner.CommitLine(addr)
+	if l, _ := owner.L2().ProbeState(addr); l.State != cache.Exclusive || owner.Stats().AppliedDowngrades != 0 {
+		t.Fatalf("invalidation must drop the deferred downgrade for the dead line: state %v, applied %d",
+			l.State, owner.Stats().AppliedDowngrades)
 	}
 }
 

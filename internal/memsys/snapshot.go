@@ -2,51 +2,35 @@ package memsys
 
 import "repro/internal/cache"
 
-// State is a frozen copy of one hierarchy's private simulation state:
-// the cache levels it owns, its MSHR file, deferred downgrades and
-// counters. Shared levels (the L2 of a NewShared core, the L1D+L2 of an
-// SMT thread) are nil here — whoever owns the whole machine captures
-// them exactly once (see multicore.System.SaveState and
-// docs/SNAPSHOTS.md). The backing mem.Memory is likewise captured by
-// the machine owner via mem.Memory.Fork, not here.
+// State is a frozen copy of one hierarchy's simulation state: every
+// cache level (a deferred coherence downgrade rides on its L2 line),
+// the MSHR file and the counters. The backing mem.Memory is captured by
+// the machine owner via mem.Memory.Fork, not here. A hierarchy built by
+// NewShared shares levels with other agents, so no per-hierarchy State
+// of it is consistent; machine snapshots refuse it (docs/SNAPSHOTS.md).
 type State struct {
 	l1i, l1d, l2 *cache.Snapshot
 	mshr         *cache.MSHRSnapshot
-	pending      []pendingDowngrade
 	stats        Stats
 }
 
-// SaveState captures the hierarchy's owned levels, MSHRs, deferred
-// downgrades and counters.
+// SaveState captures the hierarchy's cache levels, MSHRs and counters.
 func (h *Hierarchy) SaveState() *State {
-	st := &State{
-		l1i:     h.l1i.Snapshot(),
-		mshr:    h.mshr.Snapshot(),
-		pending: append([]pendingDowngrade(nil), h.pending...),
-		stats:   h.stats,
+	return &State{
+		l1i:   h.l1i.Snapshot(),
+		l1d:   h.l1d.Snapshot(),
+		l2:    h.l2.Snapshot(),
+		mshr:  h.mshr.Snapshot(),
+		stats: h.stats,
 	}
-	if h.ownsL1D {
-		st.l1d = h.l1d.Snapshot()
-	}
-	if h.ownsL2 {
-		st.l2 = h.l2.Snapshot()
-	}
-	return st
 }
 
 // RestoreState rewinds the hierarchy to a state saved from the same
-// hierarchy. Backing arrays are reused; levels not captured (shared
-// with other hierarchies) are left untouched for the machine owner to
-// restore.
+// hierarchy. Backing arrays are reused.
 func (h *Hierarchy) RestoreState(st *State) {
 	h.l1i.Restore(st.l1i)
-	if st.l1d != nil {
-		h.l1d.Restore(st.l1d)
-	}
-	if st.l2 != nil {
-		h.l2.Restore(st.l2)
-	}
+	h.l1d.Restore(st.l1d)
+	h.l2.Restore(st.l2)
 	h.mshr.Restore(st.mshr)
-	h.pending = append(h.pending[:0], st.pending...)
 	h.stats = st.stats
 }

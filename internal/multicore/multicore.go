@@ -3,7 +3,10 @@
 // paper's threat model executable: a prober on another core attacking
 // the victim's speculation window through the shared cache, which
 // CleanupSpec counters with dummy misses and delayed coherence
-// downgrades (§II-B) — and which the unsafe baseline does not.
+// downgrades (§II-B) — and which the unsafe baseline does not. The
+// same System models two SMT hardware threads sharing one L1D (§III-A,
+// NewSMT). Each core reaches the others' lines only through its own
+// hierarchy's memsys.Read, which applies the in-window rules.
 package multicore
 
 import (
@@ -46,9 +49,9 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// System is the lockstep multi-core machine.
+// System is the lockstep multi-agent machine: cores with private L1s
+// (New) or two SMT threads sharing one L1D (NewSMT), over one L2.
 type System struct {
-	cfg     Config
 	backing *mem.Memory
 	l2      *cache.Cache
 	cores   []*cpu.CPU
@@ -60,13 +63,34 @@ type System struct {
 // every non-halted core reports no progress, RunAll advances all of
 // them together by the minimum next-event distance. Per-core skipping
 // stays off regardless — cores must share one notion of "now" or a
-// skipping core could jump past a sibling's interaction with the
-// shared L2.
+// skipping core could jump past a sibling's interaction with a shared
+// cache.
 func (s *System) SetFastForward(on bool) { s.noSkip = !on }
 
 // New builds the system: one shared L2 + backing memory, per-core
 // private L1s, predictors and schemes.
 func New(cfg Config) (*System, error) {
+	return build(cfg, false)
+}
+
+// NewSMT builds a two-thread SMT core: both threads share one L1D
+// (NoMo way-partitioned when partitionWays > 0, reserving that many
+// ways per thread) and the L2. Each thread gets its own pipeline and
+// predictor — a simplification of real SMT fetch interleaving that
+// preserves what the threat model needs: concurrent cache visibility
+// with partitioned fills (paper §III-A). Zero partitionWays shares all
+// ways, the configuration a Prime+Probe SMT attacker exploits.
+func NewSMT(seed int64, partitionWays int, schemeFor func(int) undo.Scheme) (*System, error) {
+	cfg := DefaultConfig(seed)
+	cfg.Mem.L1D.PartitionWays = partitionWays
+	cfg.SchemeFor = schemeFor
+	return build(cfg, true)
+}
+
+// build assembles the machine. Without sharedL1D every core gets a
+// private L1D and the cores are each other's coherence peers; with it
+// all cores share one L1D and have no peer L1 to back-invalidate.
+func build(cfg Config, sharedL1D bool) (*System, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("multicore: need at least one core")
 	}
@@ -77,12 +101,15 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:     cfg,
 		backing: mem.NewMemory(),
 		l2:      cache.New(cfg.Mem.L2),
 	}
+	var l1d *cache.Cache // nil: NewShared builds a private one per core
+	if sharedL1D {
+		l1d = cache.New(cfg.Mem.L1D)
+	}
 	for i := 0; i < cfg.Cores; i++ {
-		hier, err := memsys.NewShared(cfg.Mem, s.backing, s.l2, i)
+		hier, err := memsys.NewShared(cfg.Mem, s.backing, l1d, s.l2, i)
 		if err != nil {
 			return nil, err
 		}
@@ -95,6 +122,9 @@ func New(cfg Config) (*System, error) {
 		core.SetFastForward(false)
 		s.hiers = append(s.hiers, hier)
 		s.cores = append(s.cores, core)
+	}
+	if sharedL1D {
+		return s, nil
 	}
 	// Wire coherence: every hierarchy can back-invalidate every sibling
 	// L1 (clflush and inclusive-L2 semantics are machine-global).
@@ -130,21 +160,16 @@ func (s *System) Memory() *mem.Memory { return s.backing }
 func (s *System) SharedL2() *cache.Cache { return s.l2 }
 
 // RunAll assigns one program per core and steps all cores in lockstep
-// until every program halts (or maxCycles elapse). Cores whose program
-// finishes early idle while the rest continue — their caches stay
-// live, as on real silicon. It returns per-core stats.
+// until every program halts. Cores whose program finishes early idle
+// while the rest continue — their caches stay live, as on real
+// silicon. It returns per-core stats, or an error wrapping
+// cpu.ErrWatchdog once the tick count passes maxCycles (0 means 10M)
+// or a core trips its own watchdog.
 func (s *System) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats, error) {
 	if len(progs) != len(s.cores) {
 		return nil, fmt.Errorf("multicore: %d programs for %d cores", len(progs), len(s.cores))
 	}
-	return runLockstep(s.cores, progs, maxCycles, s.noSkip)
-}
-
-// runLockstep is the one lockstep loop behind System.RunAll and
-// SMTSystem.RunAll: it begins one program per core and steps every core
-// each tick until all have halted, failing with cpu.ErrWatchdog once
-// the tick count passes maxCycles (0 means 10M).
-func runLockstep(cores []*cpu.CPU, progs []*isa.Program, maxCycles uint64, noSkip bool) ([]cpu.Stats, error) {
+	cores := s.cores
 	for i, p := range progs {
 		cores[i].BeginProgram(p)
 	}
@@ -170,7 +195,7 @@ func runLockstep(cores []*cpu.CPU, progs []*isa.Program, maxCycles uint64, noSki
 		// completion, stall expiry, its watchdog deadline). A quiescent
 		// core cannot touch the shared cache, so jumping all of them by
 		// the smallest next-event distance preserves cycle accuracy.
-		if noSkip {
+		if s.noSkip {
 			continue
 		}
 		skip := lockstepSkip(cores, tick, maxCycles)

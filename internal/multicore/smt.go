@@ -1,88 +1,10 @@
 package multicore
 
 import (
-	"fmt"
-
-	"repro/internal/branch"
-	"repro/internal/cache"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/memsys"
-	"repro/internal/noise"
 	"repro/internal/undo"
 )
-
-// SMTSystem models two hardware threads time-sharing one physical core's
-// caches: a shared L1D (NoMo way-partitioned when the config says so)
-// and the shared L2. Each thread gets its own pipeline and predictor —
-// a simplification of real SMT fetch interleaving that preserves what
-// the threat model needs: concurrent cache visibility with partitioned
-// fills (paper §III-A).
-type SMTSystem struct {
-	backing *mem.Memory
-	l1d     *cache.Cache
-	l2      *cache.Cache
-	threads []*cpu.CPU
-	hiers   []*memsys.Hierarchy
-	noSkip  bool
-}
-
-// SetFastForward toggles lockstep idle skipping, exactly as on System:
-// per-thread skipping stays off because both threads share the L1D.
-func (s *SMTSystem) SetFastForward(on bool) { s.noSkip = !on }
-
-// NewSMT builds a two-thread SMT core. partitionWays > 0 reserves that
-// many L1 ways per thread (NoMo); zero shares all ways — the
-// configuration a Prime+Probe SMT attacker exploits.
-func NewSMT(seed int64, partitionWays int, schemeFor func(int) undo.Scheme) (*SMTSystem, error) {
-	if schemeFor == nil {
-		schemeFor = func(int) undo.Scheme { return undo.NewCleanupSpec() }
-	}
-	cfg := memsys.DefaultConfig(seed)
-	cfg.L1D.PartitionWays = partitionWays
-	s := &SMTSystem{
-		backing: mem.NewMemory(),
-		l1d:     cache.New(cfg.L1D),
-		l2:      cache.New(cfg.L2),
-	}
-	for thread := 0; thread < 2; thread++ {
-		hier, err := memsys.NewSMT(cfg, s.backing, s.l1d, s.l2, thread)
-		if err != nil {
-			return nil, err
-		}
-		core, err := cpu.New(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()),
-			schemeFor(thread), noise.None{})
-		if err != nil {
-			return nil, err
-		}
-		// Lockstep skipping only, as in New: threads share one "now".
-		core.SetFastForward(false)
-		s.hiers = append(s.hiers, hier)
-		s.threads = append(s.threads, core)
-	}
-	return s, nil
-}
-
-// Thread returns thread i's pipeline.
-func (s *SMTSystem) Thread(i int) *cpu.CPU { return s.threads[i] }
-
-// Hierarchy returns thread i's memory view.
-func (s *SMTSystem) Hierarchy(i int) *memsys.Hierarchy { return s.hiers[i] }
-
-// Memory returns the shared backing store.
-func (s *SMTSystem) Memory() *mem.Memory { return s.backing }
-
-// SharedL1D returns the core's data cache.
-func (s *SMTSystem) SharedL1D() *cache.Cache { return s.l1d }
-
-// RunAll steps both threads in lockstep until both programs halt.
-func (s *SMTSystem) RunAll(progs []*isa.Program, maxCycles uint64) ([]cpu.Stats, error) {
-	if len(progs) != 2 {
-		return nil, fmt.Errorf("multicore: SMT runs exactly two programs")
-	}
-	return runLockstep(s.threads, progs, maxCycles, s.noSkip)
-}
 
 // SMTPrimeProbe runs the §III-A scenario: thread 1 (attacker) primes an
 // L1 set, thread 0 (victim) accesses a congruent secret-dependent line,
@@ -97,7 +19,7 @@ func SMTPrimeProbe(seed int64, partitionWays int, victimAccesses bool) (eviction
 	}
 	// Set 5 of the L1: clear of the attacker's probe log (set 0).
 	const victimLine = mem.Addr(0x40000 + 5*mem.LineSize)
-	l1 := sys.SharedL1D().Config()
+	l1 := sys.Hierarchy(0).L1D().Config()
 
 	// The attacker's prime lines: congruent with the victim line. Under
 	// partitioning the attacker owns `partitionWays` ways; otherwise

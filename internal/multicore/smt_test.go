@@ -26,8 +26,30 @@ func TestSMTSharedL1Visible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Thread 1 hits the L1 line thread 0 warmed — shared L1.
-	if lat := sys.Thread(1).Reg(3); lat > 4 {
+	if lat := sys.Core(1).Reg(3); lat > 4 {
 		t.Fatalf("SMT sibling saw latency %d, want L1 hit", lat)
+	}
+}
+
+// TestSMTThreadsShareOneL1D: both threads see one L1D and are not each
+// other's coherence peers, so a flush removes the line once, with no
+// back-invalidation of the very cache it just flushed.
+func TestSMTThreadsShareOneL1D(t *testing.T) {
+	sys, err := NewSMT(6, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, h1 := sys.Hierarchy(0), sys.Hierarchy(1)
+	if h0.L1D() != h1.L1D() || h0.L2() != h1.L2() {
+		t.Fatal("SMT threads do not share the L1D and L2")
+	}
+	h0.WarmRead(0xa000)
+	h1.Flush(0xa000)
+	if h0.L1D().Probe(0xa000) {
+		t.Fatal("flush left the line in the shared L1D")
+	}
+	if got := h1.Stats().BackInvalidations; got != 0 {
+		t.Fatalf("flush back-invalidated the shared L1D %d time(s); SMT threads must not be peers", got)
 	}
 }
 

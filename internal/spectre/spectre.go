@@ -154,7 +154,7 @@ func (a *Attack) SetSecretByte(v byte) {
 }
 
 // flushProbe evicts all candidate probe entries and the bound.
-func (a *Attack) flushProbe(candidates int) {
+func (a *Attack) flushProbe(candidates int) error {
 	b := isa.NewBuilder()
 	b.Const(regProbe, int64(a.layout.ProbeBase))
 	for v := 0; v < candidates; v++ {
@@ -164,12 +164,13 @@ func (a *Attack) flushProbe(candidates int) {
 		Flush(regBoundAddr, 0).
 		Fence().
 		Halt()
-	a.core.Run(b.MustBuild())
+	_, err := a.core.RunChecked(b.MustBuild())
+	return err
 }
 
 // reloadLatency times one probe entry with rdtscp-fenced loads — the
 // Reload half of Flush+Reload.
-func (a *Attack) reloadLatency(v int) uint64 {
+func (a *Attack) reloadLatency(v int) (uint64, error) {
 	b := isa.NewBuilder()
 	b.Const(regAddr, int64(a.layout.ProbeEntry(v))).
 		Fence().
@@ -177,22 +178,32 @@ func (a *Attack) reloadLatency(v int) uint64 {
 		Load(regTrash, regAddr, 0).
 		RdTSC(regT2).
 		Halt()
-	a.core.Run(b.MustBuild())
-	return a.core.Reg(regT2) - a.core.Reg(regT1)
+	if _, err := a.core.RunChecked(b.MustBuild()); err != nil {
+		return 0, err
+	}
+	return a.core.Reg(regT2) - a.core.Reg(regT1), nil
 }
 
 // LeakByte runs one full Algorithm 1 round restricted to `candidates`
 // probe values (use 256 for a full byte) and returns the recovered
-// value together with whether any probe entry hit at all.
-func (a *Attack) LeakByte(candidates int) (value int, hit bool) {
+// value together with whether any probe entry hit at all. A program
+// that trips the core's watchdog ends the round with an error wrapping
+// cpu.ErrWatchdog, never with a silent miss.
+func (a *Attack) LeakByte(candidates int) (value int, hit bool, err error) {
 	// POISON: train the in-bounds direction.
 	for i := 0; i < 6; i++ {
-		a.core.Run(a.train)
+		if _, err := a.core.RunChecked(a.train); err != nil {
+			return 0, false, fmt.Errorf("spectre: training: %w", err)
+		}
 	}
 	// FLUSH: evict probe array and bound.
-	a.flushProbe(candidates)
+	if err := a.flushProbe(candidates); err != nil {
+		return 0, false, fmt.Errorf("spectre: flush: %w", err)
+	}
 	// VICTIM(i*): trigger the transient access.
-	a.core.Run(a.victim)
+	if _, err := a.core.RunChecked(a.victim); err != nil {
+		return 0, false, fmt.Errorf("spectre: victim: %w", err)
+	}
 	// PROBE: reload each entry; a hit anywhere in the cache hierarchy
 	// marks the secret value (the Flush+Reload threshold sits between
 	// the L2 hit and DRAM latencies).
@@ -200,29 +211,36 @@ func (a *Attack) LeakByte(candidates int) (value int, hit bool) {
 	hitMax := uint64(cfg.L1D.HitLatency + cfg.L2.HitLatency + 2)
 	best, bestLat := -1, uint64(1<<62)
 	for v := 0; v < candidates; v++ {
-		lat := a.reloadLatency(v)
+		lat, err := a.reloadLatency(v)
+		if err != nil {
+			return 0, false, fmt.Errorf("spectre: probe %d: %w", v, err)
+		}
 		if lat <= hitMax && lat < bestLat {
 			best, bestLat = v, lat
 		}
 	}
 	if best < 0 {
-		return 0, false
+		return 0, false, nil
 	}
-	return best, true
+	return best, true, nil
 }
 
 // LeakBytes recovers a sequence of secret bytes, returning the decoded
-// values and the per-byte hit flags.
-func (a *Attack) LeakBytes(secret []byte, candidates int) (decoded []byte, hits int) {
-	for _, s := range secret {
+// values and how many bytes any probe entry hit for. It stops at the
+// first round that fails, returning the bytes decoded before it.
+func (a *Attack) LeakBytes(secret []byte, candidates int) (decoded []byte, hits int, err error) {
+	for i, s := range secret {
 		a.SetSecretByte(s)
-		v, ok := a.LeakByte(candidates)
+		v, ok, err := a.LeakByte(candidates)
+		if err != nil {
+			return decoded, hits, fmt.Errorf("spectre: byte %d: %w", i, err)
+		}
 		if ok {
 			hits++
 		}
 		decoded = append(decoded, byte(v))
 	}
-	return decoded, hits
+	return decoded, hits, nil
 }
 
 // Core exposes the simulated CPU for instrumentation.

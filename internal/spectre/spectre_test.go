@@ -2,10 +2,23 @@ package spectre
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/memsys"
 	"repro/internal/undo"
 )
+
+// leak is LeakByte with a watchdog trip failing the test.
+func leak(t *testing.T, a *Attack, candidates int) (int, bool) {
+	t.Helper()
+	v, hit, err := a.LeakByte(candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, hit
+}
 
 func TestSpectreLeaksAgainstUnsafeBaseline(t *testing.T) {
 	a, err := New(undo.NewUnsafe(), 1)
@@ -15,7 +28,10 @@ func TestSpectreLeaksAgainstUnsafeBaseline(t *testing.T) {
 	// Restrict the probe sweep to 32 candidates for test speed; the
 	// secret values fit.
 	secret := []byte{7, 19, 3, 31, 0}
-	decoded, hits := a.LeakBytes(secret, 32)
+	decoded, hits, err := a.LeakBytes(secret, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if hits != len(secret) {
 		t.Fatalf("only %d/%d probe hits against the unsafe machine", hits, len(secret))
 	}
@@ -32,7 +48,7 @@ func TestCleanupSpecStopsFlushReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetSecretByte(13)
-	if _, hit := a.LeakByte(32); hit {
+	if _, hit := leak(t, a, 32); hit {
 		t.Fatal("Flush+Reload still works against CleanupSpec — rollback broken")
 	}
 }
@@ -43,7 +59,7 @@ func TestInvisibleLiteStopsFlushReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetSecretByte(21)
-	if _, hit := a.LeakByte(32); hit {
+	if _, hit := leak(t, a, 32); hit {
 		t.Fatal("Flush+Reload works against the invisible scheme")
 	}
 }
@@ -59,7 +75,7 @@ func TestStrictConstantTimeResidueReopensSpectre(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetSecretByte(9)
-	v, hit := a.LeakByte(32)
+	v, hit := leak(t, a, 32)
 	if !hit {
 		t.Fatal("undersized strict rollback left no residue — expected the §VI-E leak")
 	}
@@ -80,7 +96,7 @@ func TestCleanupL1OnlyModeLeaksThroughL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetSecretByte(23)
-	v, hit := a.LeakByte(32)
+	v, hit := leak(t, a, 32)
 	if !hit || v != 23 {
 		t.Fatalf("L1-only cleanup should leak via L2: hit=%v v=%d", hit, v)
 	}
@@ -118,7 +134,7 @@ func TestFullByteRange(t *testing.T) {
 	}
 	for _, s := range []byte{0, 127, 200, 255} {
 		a.SetSecretByte(s)
-		v, hit := a.LeakByte(256)
+		v, hit := leak(t, a, 256)
 		if !hit || byte(v) != s {
 			t.Fatalf("leaked %d (hit=%v), want %d", v, hit, s)
 		}
@@ -132,5 +148,32 @@ func TestAccessors(t *testing.T) {
 	}
 	if a.Core() == nil || a.Hierarchy() == nil {
 		t.Fatal("accessors")
+	}
+}
+
+// stallScheme is CleanupSpec with a rollback stall longer than the
+// core's whole MaxCycles budget.
+type stallScheme struct{ *undo.CleanupSpec }
+
+func (s stallScheme) OnSquash(h *memsys.Hierarchy, ctx undo.SquashContext) undo.Result {
+	r := s.CleanupSpec.OnSquash(h, ctx)
+	r.StallCycles += int(cpu.DefaultConfig().MaxCycles) + 1
+	return r
+}
+
+// TestLeakByteReportsWatchdog requires a round whose cleanup stall runs
+// past MaxCycles to fail with cpu.ErrWatchdog instead of reading as a
+// probe miss.
+func TestLeakByteReportsWatchdog(t *testing.T) {
+	a, err := New(stallScheme{undo.NewCleanupSpec()}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetSecretByte(13)
+	if _, hit, err := a.LeakByte(32); !errors.Is(err, cpu.ErrWatchdog) {
+		t.Fatalf("LeakByte = hit %v, err %v; want an error wrapping cpu.ErrWatchdog", hit, err)
+	}
+	if _, _, err := a.LeakBytes([]byte{1, 2}, 32); !errors.Is(err, cpu.ErrWatchdog) {
+		t.Fatalf("LeakBytes err %v; want an error wrapping cpu.ErrWatchdog", err)
 	}
 }

@@ -47,16 +47,12 @@ type SquashContext struct {
 	// InflightCleaned is the number of still-in-flight mis-speculated
 	// loads cleaned from the MSHR (T3).
 	InflightCleaned int
-	// OldestInflightDone is the cycle by which all *older correct-path*
-	// loads complete (T4); cleanup cannot start earlier. The attack
-	// zeroes this interval with a fence.
-	OldestInflightDone uint64
 }
 
 // Result reports what a squash cost.
 type Result struct {
 	// StallCycles is how long the core stalls for cleanup, measured
-	// from max(Now, OldestInflightDone).
+	// from Now.
 	StallCycles int
 	// Invalidated counts lines invalidated; Restored counts L1 lines
 	// restored; RestoredFromMem counts restores that had to go past L2.

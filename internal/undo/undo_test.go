@@ -167,7 +167,11 @@ func TestUnsafeLeavesFootprint(t *testing.T) {
 		t.Fatal("unsafe baseline should leave the footprint — that is the Spectre channel")
 	}
 	// And the mark is cleared so a cross-agent probe now hits.
-	if got := h.CrossRead(1, 0x4000, 0); got.Dummy {
+	other, err := memsys.NewShared(h.Config(), h.Memory(), nil, h.L2(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := other.Read(0x4000, false, 0, 0); got.Dummy {
 		t.Fatal("unsafe baseline left a speculative mark behind")
 	}
 }

@@ -22,21 +22,11 @@ type attackMetrics struct {
 	calAccuracy  *telemetry.Gauge
 }
 
-// metricsSetter is the optional interface undo schemes implement; the
-// Scheme interface itself stays unchanged.
-type metricsSetter interface {
-	SetMetrics(*telemetry.Registry)
-}
-
 // SetMetrics binds the whole attack machine — core, hierarchy, undo
 // scheme and the attack's own channel-quality instruments — to a
 // telemetry registry. A nil registry detaches everything.
 func (a *Attack) SetMetrics(r *telemetry.Registry) {
 	a.core.SetMetrics(r)
-	a.hier.SetMetrics(r)
-	if ms, ok := a.opts.Scheme.(metricsSetter); ok {
-		ms.SetMetrics(r)
-	}
 	if r == nil {
 		a.met = attackMetrics{}
 		return

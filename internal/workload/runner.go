@@ -40,10 +40,6 @@ func RunInstrumented(w Workload, scheme undo.Scheme, seed int64,
 	core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
 	if reg != nil {
 		core.SetMetrics(reg)
-		hier.SetMetrics(reg)
-		if ms, ok := scheme.(interface{ SetMetrics(*telemetry.Registry) }); ok {
-			ms.SetMetrics(reg)
-		}
 	}
 	if observe != nil {
 		observe(core)

@@ -6,7 +6,8 @@
 #      to fresh-run across the corpus, COW sibling isolation, warm-fork
 #      allocation bounds, reset survival);
 #   2. the COW memory aliasing/refcount family in internal/mem;
-#   3. the multicore and unxpec snapshot integrations;
+#   3. the unxpec snapshot integration, and the refusal to snapshot one
+#      core of a multi-agent machine (internal/machine);
 #   4. a short cmd/fuzz sweep with -snapshot, so the property also runs
 #      through the CLI path that nightly fuzzing uses.
 # Used by `make snapshot-smoke` and CI.
@@ -15,7 +16,7 @@ set -euo pipefail
 echo "== differential equivalence + COW + integration suites (-race) =="
 go test -race -count=1 \
     -run 'Snapshot|Fork|COW|Checkpoint|SaveRestore' \
-    ./internal/machine/ ./internal/mem/ ./internal/multicore/ \
+    ./internal/machine/ ./internal/mem/ \
     ./internal/unxpec/ ./internal/harness/ ./internal/fuzz/
 
 echo "== cmd/fuzz -snapshot sweep =="
