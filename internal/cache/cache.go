@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 )
@@ -93,19 +94,38 @@ type Config struct {
 	PartitionWays int
 }
 
-// Validate checks structural invariants of the configuration.
+// ConfigError is the error Config.Validate returns. It names the cache
+// and the rejected field.
+type ConfigError struct {
+	Name   string // the cache's Config.Name
+	Field  string // the rejected Config field, e.g. "Sets"
+	Detail string
+}
+
+func (e *ConfigError) Error() string { return fmt.Sprintf("cache %s: %s", e.Name, e.Detail) }
+
+// Validate checks structural invariants of the configuration. Every
+// failure is a *ConfigError.
 func (c Config) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &ConfigError{Name: c.Name, Field: field, Detail: fmt.Sprintf(format, args...)}
+	}
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
+		return bad("Sets", "sets must be a positive power of two, got %d", c.Sets)
 	}
 	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: ways must be positive, got %d", c.Name, c.Ways)
+		return bad("Ways", "ways must be positive, got %d", c.Ways)
+	}
+	// New allocates Sets×Ways lines in one array, and SizeBytes
+	// multiplies by the line size: both products must fit in an int.
+	if c.Ways > math.MaxInt/mem.LineSize || c.Sets > math.MaxInt/(c.Ways*mem.LineSize) {
+		return bad("Sets", "%d sets × %d ways × %d-byte lines overflows int", c.Sets, c.Ways, mem.LineSize)
 	}
 	if c.PartitionWays < 0 || c.PartitionWays > c.Ways {
-		return fmt.Errorf("cache %s: partition ways %d out of range [0,%d]", c.Name, c.PartitionWays, c.Ways)
+		return bad("PartitionWays", "partition ways %d out of range [0,%d]", c.PartitionWays, c.Ways)
 	}
 	if c.HitLatency < 0 {
-		return fmt.Errorf("cache %s: negative hit latency", c.Name)
+		return bad("HitLatency", "negative hit latency")
 	}
 	return nil
 }
@@ -140,9 +160,15 @@ type Cache struct {
 	cfg    Config
 	policy ReplacementPolicy
 	mapper IndexMapper
-	sets   [][]Line
-	stats  Stats
-	met    cacheMetrics
+	// lines holds every set's ways in one array, stamped per set. Every
+	// method that mutates line data MUST call lines.touch(set): Restore
+	// copies back only sets stamped since the snapshot
+	// (docs/SNAPSHOTS.md), so a missed call breaks snapshot
+	// bit-identity, which the differential equivalence suite exists to
+	// catch.
+	lines setArray[Line]
+	stats Stats
+	met   cacheMetrics
 	// allWays lists every way once, the unpartitioned fill-candidate
 	// set; candBuf/validBuf are reused per Fill so the hot path does not
 	// allocate. Callers of fillCandidates treat the result as read-only
@@ -150,26 +176,11 @@ type Cache struct {
 	allWays  []int
 	candBuf  []int
 	validBuf []int
-	// version counts line mutations and stamp[s] records the version of
-	// set s's last mutation. Snapshot records the version at capture
-	// time; Restore copies back only sets stamped after it, so a warm
-	// restore costs O(sets touched since the snapshot), not O(sets)
-	// (docs/SNAPSHOTS.md). Every method that mutates line data MUST call
-	// touch(set) — a missed call breaks snapshot bit-identity, which the
-	// differential equivalence suite exists to catch.
-	version uint64
-	stamp   []uint64
-}
-
-// touch records a line mutation in set.
-func (c *Cache) touch(set int) {
-	c.version++
-	c.stamp[set] = c.version
 }
 
 // New builds a cache from cfg, panicking on invalid structural
 // parameters (a construction-time programming error, not a runtime
-// condition).
+// condition). Its allocation count does not depend on the geometry.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -184,10 +195,7 @@ func New(cfg Config) *Cache {
 		cfg:    cfg,
 		policy: cfg.Policy,
 		mapper: cfg.Mapper,
-		sets:   make([][]Line, cfg.Sets),
-	}
-	for s := range c.sets {
-		c.sets[s] = make([]Line, cfg.Ways)
+		lines:  newSetArray[Line](cfg.Sets, cfg.Ways),
 	}
 	c.allWays = make([]int, cfg.Ways)
 	for i := range c.allWays {
@@ -195,7 +203,6 @@ func New(cfg Config) *Cache {
 	}
 	c.candBuf = make([]int, 0, cfg.Ways)
 	c.validBuf = make([]int, 0, cfg.Ways)
-	c.stamp = make([]uint64, cfg.Sets)
 	return c
 }
 
@@ -217,9 +224,9 @@ func (c *Cache) setIndex(line mem.Addr) uint64 {
 func (c *Cache) find(line mem.Addr) (set int, way int) {
 	set = int(c.setIndex(line))
 	tag := line.LineIndex()
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
-		if l.Valid() && l.Tag == tag {
+	lines := c.lines.set(set)
+	for w := range lines {
+		if l := &lines[w]; l.Valid() && l.Tag == tag {
 			return set, w
 		}
 	}
@@ -240,7 +247,7 @@ func (c *Cache) ProbeState(addr mem.Addr) (Line, bool) {
 	if way < 0 {
 		return Line{}, false
 	}
-	return c.sets[set][way], true
+	return c.lines.set(set)[way], true
 }
 
 // Lookup performs a demand access for agent's load/store. On a hit it
@@ -286,11 +293,12 @@ func (c *Cache) Fill(addr mem.Addr, agent int, speculative bool, epoch uint64) (
 	set := int(c.setIndex(line))
 	tag := line.LineIndex()
 	cand := c.fillCandidates(agent)
+	lines := c.lines.set(set)
 
 	// Prefer an invalid way within the partition.
 	victim := -1
 	for _, w := range cand {
-		if !c.sets[set][w].Valid() {
+		if !lines[w].Valid() {
 			victim = w
 			break
 		}
@@ -298,12 +306,12 @@ func (c *Cache) Fill(addr mem.Addr, agent int, speculative bool, epoch uint64) (
 	if victim < 0 {
 		valid := c.validBuf[:0]
 		for _, w := range cand {
-			if c.sets[set][w].Valid() {
+			if lines[w].Valid() {
 				valid = append(valid, w)
 			}
 		}
 		victim = c.policy.Victim(set, valid)
-		old := &c.sets[set][victim]
+		old := &lines[victim]
 		ev = Eviction{
 			LineAddr:       mem.Addr(old.Tag << mem.LineShift),
 			Dirty:          old.Dirty,
@@ -317,14 +325,14 @@ func (c *Cache) Fill(addr mem.Addr, agent int, speculative bool, epoch uint64) (
 			c.met.dirtyEvicts.Inc()
 		}
 	}
-	c.sets[set][victim] = Line{
+	lines[victim] = Line{
 		Tag:         tag,
 		State:       Exclusive,
 		Speculative: speculative,
 		Epoch:       epoch,
 		Owner:       agent,
 	}
-	c.touch(set)
+	c.lines.touch(set)
 	c.policy.OnFill(set, victim)
 	c.stats.Fills++
 	c.met.fills.Inc()
@@ -338,9 +346,10 @@ func (c *Cache) Invalidate(addr mem.Addr) (present, dirty bool) {
 	if way < 0 {
 		return false, false
 	}
-	dirty = c.sets[set][way].Dirty
-	c.sets[set][way] = Line{}
-	c.touch(set)
+	l := &c.lines.set(set)[way]
+	dirty = l.Dirty
+	*l = Line{}
+	c.lines.touch(set)
 	c.policy.OnInvalidate(set, way)
 	c.stats.Invalidations++
 	c.met.invalidations.Inc()
@@ -362,9 +371,10 @@ func (c *Cache) MarkDirty(addr mem.Addr) bool {
 	if way < 0 {
 		return false
 	}
-	c.sets[set][way].Dirty = true
-	c.sets[set][way].State = Modified
-	c.touch(set)
+	l := &c.lines.set(set)[way]
+	l.Dirty = true
+	l.State = Modified
+	c.lines.touch(set)
 	return true
 }
 
@@ -377,14 +387,14 @@ func (c *Cache) Commit(addr mem.Addr) (downgraded bool) {
 	if way < 0 {
 		return false
 	}
-	l := &c.sets[set][way]
+	l := &c.lines.set(set)[way]
 	l.Speculative = false
 	if l.DowngradeDeferred {
 		l.DowngradeDeferred = false
 		l.State = Shared
 		downgraded = true
 	}
-	c.touch(set)
+	c.lines.touch(set)
 	return downgraded
 }
 
@@ -395,8 +405,8 @@ func (c *Cache) DeferDowngrade(addr mem.Addr) {
 	if way < 0 {
 		return
 	}
-	c.sets[set][way].DowngradeDeferred = true
-	c.touch(set)
+	c.lines.set(set)[way].DowngradeDeferred = true
+	c.lines.touch(set)
 }
 
 // SetState overrides the coherence state of a present line (testing and
@@ -406,8 +416,8 @@ func (c *Cache) SetState(addr mem.Addr, st CoherenceState) bool {
 	if way < 0 {
 		return false
 	}
-	c.sets[set][way].State = st
-	c.touch(set)
+	c.lines.set(set)[way].State = st
+	c.lines.touch(set)
 	return true
 }
 
@@ -419,14 +429,18 @@ func (c *Cache) CountDummyMiss() {
 }
 
 // SpeculativeLines returns the addresses of all currently speculative
-// lines. Rollback verification in tests uses this; the rollback itself
-// works from the load-queue records as CleanupSpec does.
+// lines. The fuzzer's residue audit uses this; the rollback itself
+// works from the load-queue records as CleanupSpec does. Sets never
+// mutated since New hold only invalid lines and are skipped.
 func (c *Cache) SpeculativeLines() []mem.Addr {
 	var out []mem.Addr
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.Valid() && l.Speculative {
+	for s, st := range c.lines.stamp {
+		if st == 0 {
+			continue
+		}
+		lines := c.lines.set(s)
+		for w := range lines {
+			if l := &lines[w]; l.Valid() && l.Speculative {
 				out = append(out, mem.Addr(l.Tag<<mem.LineShift))
 			}
 		}
@@ -434,33 +448,17 @@ func (c *Cache) SpeculativeLines() []mem.Addr {
 	return out
 }
 
-// ValidLines returns the number of valid lines (occupancy).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // SetOccupancy returns how many valid lines live in addr's set.
 func (c *Cache) SetOccupancy(addr mem.Addr) int {
 	set := int(c.setIndex(addr.Line()))
 	n := 0
-	for w := range c.sets[set] {
-		if c.sets[set][w].Valid() {
+	for _, l := range c.lines.set(set) {
+		if l.Valid() {
 			n++
 		}
 	}
 	return n
 }
-
-// SetOf exposes the mapped set index of an address (eviction-set tools).
-func (c *Cache) SetOf(addr mem.Addr) uint64 { return c.setIndex(addr.Line()) }
 
 // StateFingerprint hashes the attacker-visible cache state: per
 // set/way, which line is present, its coherence state, dirtiness and
@@ -484,23 +482,21 @@ func (c *Cache) StateFingerprint() uint64 {
 			x >>= 8
 		}
 	}
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if !l.Valid() {
-				mix(0)
-				continue
-			}
-			mix(l.Tag)
-			v := uint64(l.State)
-			if l.Dirty {
-				v |= 1 << 8
-			}
-			if l.Speculative {
-				v |= 1 << 9
-			}
-			mix(v)
+	for i := range c.lines.data {
+		l := &c.lines.data[i]
+		if !l.Valid() {
+			mix(0)
+			continue
 		}
+		mix(l.Tag)
+		v := uint64(l.State)
+		if l.Dirty {
+			v |= 1 << 8
+		}
+		if l.Speculative {
+			v |= 1 << 9
+		}
+		mix(v)
 	}
 	return h
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +29,12 @@ func TestConfigValidate(t *testing.T) {
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %q: expected validation error", cfg.Name)
+		}
+	}
+	for _, cfg := range bad {
+		var ce *ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) || ce.Name != cfg.Name {
+			t.Errorf("config %q: Validate() = %v, want a *ConfigError naming the cache", cfg.Name, err)
 		}
 	}
 	good := Config{Name: "ok", Sets: 64, Ways: 8, HitLatency: 2}
@@ -314,15 +322,26 @@ func TestCoherenceStateString(t *testing.T) {
 	}
 }
 
+// validLines counts the cache's valid lines.
+func validLines(c *Cache) int {
+	n := 0
+	for _, l := range c.lines.data {
+		if l.Valid() {
+			n++
+		}
+	}
+	return n
+}
+
 func TestValidLines(t *testing.T) {
 	c := smallCache(2, nil)
-	if c.ValidLines() != 0 {
+	if validLines(c) != 0 {
 		t.Fatal("fresh cache not empty")
 	}
 	c.Fill(addrFor(0, 1), 0, false, 0)
 	c.Fill(addrFor(1, 1), 0, false, 0)
-	if c.ValidLines() != 2 {
-		t.Fatalf("ValidLines = %d, want 2", c.ValidLines())
+	if n := validLines(c); n != 2 {
+		t.Fatalf("valid lines = %d, want 2", n)
 	}
 }
 
@@ -331,5 +350,97 @@ func TestLRUVictimFallback(t *testing.T) {
 	p := NewLRU(4, 4)
 	if v := p.Victim(0, []int{2, 3}); v != 2 && v != 3 {
 		t.Fatalf("victim %d outside candidates", v)
+	}
+}
+
+// TestConfigValidateRejectsOverflow: a geometry whose line count or
+// byte size overflows int fails validation with a *ConfigError instead
+// of panicking in New's allocation.
+func TestConfigValidateRejectsOverflow(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "lines", Sets: 1 << 62, Ways: 4},
+		{Name: "bytes", Sets: 1 << 57, Ways: 1},
+		{Name: "ways", Sets: 1, Ways: math.MaxInt},
+		{Name: "both", Sets: 1 << 40, Ways: 1 << 40},
+	} {
+		var ce *ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != "Sets" {
+			t.Errorf("%s: Validate() = %v, want a *ConfigError on Sets", cfg.Name, err)
+		}
+	}
+	edge := Config{Name: "edge", Sets: 1 << 54, Ways: 2}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("largest representable geometry rejected: %v", err)
+	}
+}
+
+// TestNewAllocationsIndependentOfSets pins the flat layout: building a
+// cache costs the same number of allocations at 4 sets as at 2,048.
+func TestNewAllocationsIndependentOfSets(t *testing.T) {
+	allocs := func(sets int) float64 {
+		return testing.AllocsPerRun(20, func() { New(Config{Name: "a", Sets: sets, Ways: 16}) })
+	}
+	if small, large := allocs(4), allocs(2048); large > small {
+		t.Fatalf("New allocates %.0f times at 2048 sets, %.0f at 4", large, small)
+	}
+}
+
+// TestSnapshotSkipsUntouchedSets: a cold snapshot stores no lines, a
+// warm one stores only the mutated sets, and restoring either brings
+// back the captured state exactly, under every built-in policy.
+func TestSnapshotSkipsUntouchedSets(t *testing.T) {
+	for _, policy := range []func() ReplacementPolicy{
+		func() ReplacementPolicy { return nil },
+		func() ReplacementPolicy { return NewRandom(3) },
+		func() ReplacementPolicy { return NewTreePLRU(4, 2) },
+	} {
+		c := smallCache(2, policy())
+		cold := c.Snapshot()
+		if len(cold.lines.sets) != 0 || len(cold.lines.data) != 0 {
+			t.Fatalf("cold snapshot stored %d sets", len(cold.lines.sets))
+		}
+		for tag := 1; tag <= 3; tag++ { // the third fill evicts
+			c.Fill(addrFor(1, tag), 0, tag == 3, 0)
+		}
+		c.Lookup(addrFor(1, 2))
+		warm, warmPrint := c.Snapshot(), c.StateFingerprint()
+		if len(warm.lines.sets) != 1 || warm.lines.sets[0] != 1 {
+			t.Fatalf("warm snapshot stored sets %v, want [1]", warm.lines.sets)
+		}
+		c.Fill(addrFor(1, 4), 0, false, 0)
+		c.Fill(addrFor(2, 1), 0, true, 0)
+		c.Restore(cold)
+		if validLines(c) != 0 || len(c.SpeculativeLines()) != 0 || c.Stats() != (Stats{}) {
+			t.Fatalf("%s: cold restore left %d lines, stats %+v", c.policy.Name(), validLines(c), c.Stats())
+		}
+		c.Restore(warm)
+		if c.StateFingerprint() != warmPrint {
+			t.Fatalf("%s: warm restore fingerprint differs", c.policy.Name())
+		}
+		// The replacement order came back too: the next victim in set 1
+		// is the same as it was at the snapshot.
+		ev1, _ := c.Fill(addrFor(1, 5), 0, false, 0)
+		c.Restore(warm)
+		ev2, _ := c.Fill(addrFor(1, 5), 0, false, 0)
+		if ev1 != ev2 {
+			t.Fatalf("%s: victim after restore %+v, first time %+v", c.policy.Name(), ev2, ev1)
+		}
+	}
+}
+
+// TestRestoreAllocatesNothing: rewinding a cache, LRU policy included,
+// to a cold or a warm snapshot does not allocate.
+func TestRestoreAllocatesNothing(t *testing.T) {
+	c := New(Config{Name: "r", Sets: 64, Ways: 8})
+	cold := c.Snapshot()
+	c.Fill(0x1000, 0, false, 0)
+	warm := c.Snapshot()
+	for name, s := range map[string]*Snapshot{"cold": cold, "warm": warm} {
+		if avg := testing.AllocsPerRun(20, func() {
+			c.Fill(0x2040, 0, true, 1)
+			c.Restore(s)
+		}); avg != 0 {
+			t.Errorf("%s restore allocates %.1f times", name, avg)
+		}
 	}
 }

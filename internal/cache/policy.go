@@ -31,110 +31,55 @@ type ReplacementPolicy interface {
 	Victim(set int, candidates []int) int
 }
 
-// lruPolicy is a true-LRU stack per set.
+// lruPolicy is true LRU. Each way's entry in the recency array is the
+// version at which it was last filled or hit: a larger stamp is more
+// recent, and 0 means the way is not in the recency order (never
+// touched, or invalidated since). Versions only grow, even across
+// RestoreState, so a restored order stays below every later use.
 type lruPolicy struct {
-	// order[set] lists ways from MRU (front) to LRU (back).
-	order [][]int
-	// version/stamp mirror Cache's dirty-set tracking: RestoreState
-	// copies back only stacks mutated since the snapshot.
-	version uint64
-	stamp   []uint64
+	used setArray[uint64]
 }
 
 // NewLRU returns a least-recently-used policy for sets×ways.
 func NewLRU(sets, ways int) ReplacementPolicy {
-	p := &lruPolicy{order: make([][]int, sets), stamp: make([]uint64, sets)}
-	for s := range p.order {
-		p.order[s] = make([]int, 0, ways)
-	}
-	return p
+	return &lruPolicy{used: newSetArray[uint64](sets, ways)}
 }
 
 func (p *lruPolicy) Name() string { return "lru" }
 
-// mark records a mutation of set's recency stack.
-func (p *lruPolicy) mark(set int) {
-	p.version++
-	p.stamp[set] = p.version
-}
+// SaveState captures the recency stamps of every set used so far.
+func (p *lruPolicy) SaveState() any { return p.used.save() }
 
-// lruState is a frozen copy of every recency stack.
-type lruState struct {
-	order [][]int
-	asOf  uint64
-}
-
-// SaveState captures every set's recency stack.
-func (p *lruPolicy) SaveState() any {
-	s := lruState{order: make([][]int, len(p.order)), asOf: p.version}
-	for i, q := range p.order {
-		s.order[i] = append([]int(nil), q...)
-	}
-	return s
-}
-
-// RestoreState rewinds the recency stacks to a saved snapshot; the
-// per-set backing arrays are reused (capacity is fixed at ways) and
-// stacks untouched since the snapshot are skipped.
-func (p *lruPolicy) RestoreState(v any) {
-	s := v.(lruState)
-	for i := range p.order {
-		if p.stamp[i] <= s.asOf {
-			continue
-		}
-		p.order[i] = append(p.order[i][:0], s.order[i]...)
-		p.mark(i)
-	}
-}
+// RestoreState rewinds the recency order to a saved snapshot, writing
+// back only sets mutated since it was taken.
+func (p *lruPolicy) RestoreState(v any) { p.used.restore(v.(setsCopy[uint64])) }
 
 func (p *lruPolicy) touch(set, way int) {
-	p.mark(set)
-	q := p.order[set]
-	for i, w := range q {
-		if w == way {
-			copy(q[1:i+1], q[:i])
-			q[0] = way
-			return
-		}
-	}
-	p.order[set] = append(q, 0)
-	q = p.order[set]
-	copy(q[1:], q[:len(q)-1])
-	q[0] = way
+	p.used.touch(set)
+	p.used.set(set)[way] = p.used.version
 }
 
 func (p *lruPolicy) OnAccess(set, way int) { p.touch(set, way) }
 func (p *lruPolicy) OnFill(set, way int)   { p.touch(set, way) }
 
 func (p *lruPolicy) OnInvalidate(set, way int) {
-	q := p.order[set]
-	for i, w := range q {
-		if w == way {
-			p.order[set] = append(q[:i], q[i+1:]...)
-			p.mark(set)
-			return
-		}
+	if u := p.used.set(set); u[way] != 0 {
+		u[way] = 0
+		p.used.touch(set)
 	}
 }
 
+// Victim picks the least recently used candidate; when no candidate is
+// in the recency order it evicts the first.
 func (p *lruPolicy) Victim(set int, candidates []int) int {
-	q := p.order[set]
-	// Scan from LRU end; pick the least recent candidate.
-	inCand := func(w int) bool {
-		for _, c := range candidates {
-			if c == w {
-				return true
-			}
-		}
-		return false
-	}
-	for i := len(q) - 1; i >= 0; i-- {
-		if inCand(q[i]) {
-			return q[i]
+	u := p.used.set(set)
+	victim := candidates[0]
+	for _, w := range candidates {
+		if u[w] != 0 && (u[victim] == 0 || u[w] < u[victim]) {
+			victim = w
 		}
 	}
-	// Candidates never touched: evict the first.
-	return candidates[0]
+	return victim
 }
 
 // randomPolicy picks a uniformly random victim using a seeded source, as
@@ -172,44 +117,32 @@ func (p *randomPolicy) Victim(set int, candidates []int) int {
 // L1s; provided for ablation against true LRU and random.
 type treePLRUPolicy struct {
 	ways int
-	// bits[set] holds the tree: node i's children are 2i+1 and 2i+2.
-	bits [][]bool
+	// bits holds one tree per set, ways-1 nodes each: node i's children
+	// are 2i+1 and 2i+2.
+	bits setArray[bool]
 }
 
 // NewTreePLRU returns a tree-PLRU policy. ways must be a power of two.
 func NewTreePLRU(sets, ways int) ReplacementPolicy {
-	p := &treePLRUPolicy{ways: ways, bits: make([][]bool, sets)}
-	for s := range p.bits {
-		p.bits[s] = make([]bool, ways-1)
-	}
-	return p
+	return &treePLRUPolicy{ways: ways, bits: newSetArray[bool](sets, ways-1)}
 }
 
 func (p *treePLRUPolicy) Name() string { return "tree-plru" }
 
-// SaveState captures every set's tree bits.
-func (p *treePLRUPolicy) SaveState() any {
-	s := make([][]bool, len(p.bits))
-	for i, b := range p.bits {
-		s[i] = append([]bool(nil), b...)
-	}
-	return s
-}
+// SaveState captures the tree bits of every set used so far.
+func (p *treePLRUPolicy) SaveState() any { return p.bits.save() }
 
-// RestoreState copies saved tree bits back in place.
-func (p *treePLRUPolicy) RestoreState(v any) {
-	s := v.([][]bool)
-	for i := range p.bits {
-		copy(p.bits[i], s[i])
-	}
-}
+// RestoreState rewinds the tree bits, writing back only sets mutated
+// since the snapshot.
+func (p *treePLRUPolicy) RestoreState(v any) { p.bits.restore(v.(setsCopy[bool])) }
 
 // promote flips tree bits so the path to way points away from it.
 func (p *treePLRUPolicy) promote(set, way int) {
 	if p.ways == 1 {
 		return
 	}
-	bits := p.bits[set]
+	p.bits.touch(set)
+	bits := p.bits.set(set)
 	node, lo, hi := 0, 0, p.ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
@@ -232,7 +165,7 @@ func (p *treePLRUPolicy) Victim(set int, candidates []int) int {
 	if p.ways == 1 {
 		return candidates[0]
 	}
-	bits := p.bits[set]
+	bits := p.bits.set(set)
 	node, lo, hi := 0, 0, p.ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2

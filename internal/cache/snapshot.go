@@ -15,23 +15,97 @@ type statefulPolicy interface {
 	RestoreState(any)
 }
 
-// Snapshot is a frozen copy of one cache level's simulation state.
-type Snapshot struct {
-	sets   [][]Line
-	stats  Stats
-	policy any
-	// asOf is the cache's mutation version at capture time. Restore
-	// skips sets whose stamp has not advanced past it.
+// setArray is flat per-set storage with dirty-set stamping, shared by
+// the cache's lines and the LRU policy's recency stamps. Set s occupies
+// data[s*ways : (s+1)*ways]. version counts mutations and stamp[s]
+// records the version of set s's last one, so a set whose stamp is 0
+// has never been mutated and still holds zero values.
+type setArray[T any] struct {
+	data    []T
+	ways    int
+	version uint64
+	stamp   []uint64
+}
+
+func newSetArray[T any](sets, ways int) setArray[T] {
+	return setArray[T]{data: make([]T, sets*ways), ways: ways, stamp: make([]uint64, sets)}
+}
+
+// set returns set s's ways.
+func (a *setArray[T]) set(s int) []T {
+	lo := s * a.ways
+	return a.data[lo : lo+a.ways : lo+a.ways]
+}
+
+// touch records a mutation of set s.
+func (a *setArray[T]) touch(s int) {
+	a.version++
+	a.stamp[s] = a.version
+}
+
+// setsCopy is a frozen copy of a setArray. Only sets mutated before the
+// copy was taken are stored; the rest were all zero.
+type setsCopy[T any] struct {
+	sets []int // indices of the stored sets, ascending
+	data []T   // their ways, set after set
 	asOf uint64
 }
 
-// Snapshot captures the cache's lines, counters and replacement-policy
-// state. Cost is O(sets × ways).
-func (c *Cache) Snapshot() *Snapshot {
-	s := &Snapshot{stats: c.stats, sets: make([][]Line, len(c.sets)), asOf: c.version}
-	for i, set := range c.sets {
-		s.sets[i] = append([]Line(nil), set...)
+// save copies every set with a non-zero stamp. Cost is O(sets) stamp
+// reads plus O(mutated sets × ways) copying.
+func (a *setArray[T]) save() setsCopy[T] {
+	n := 0
+	for _, st := range a.stamp {
+		if st != 0 {
+			n++
+		}
 	}
+	c := setsCopy[T]{sets: make([]int, 0, n), data: make([]T, 0, n*a.ways), asOf: a.version}
+	for s, st := range a.stamp {
+		if st != 0 {
+			c.sets = append(c.sets, s)
+			c.data = append(c.data, a.set(s)...)
+		}
+	}
+	return c
+}
+
+// restore rewinds the array to c, which must come from the same array.
+// Only sets mutated since c was taken are written: a set whose stamp is
+// at most c's version still holds exactly the captured values. Written
+// sets are re-stamped with fresh versions, which is conservative under
+// interleaved copies — a later restore against an older copy may
+// rewrite an already-clean set, never the reverse.
+func (a *setArray[T]) restore(c setsCopy[T]) {
+	k := 0
+	for s, st := range a.stamp {
+		if st <= c.asOf {
+			continue
+		}
+		for k < len(c.sets) && c.sets[k] < s {
+			k++
+		}
+		if k < len(c.sets) && c.sets[k] == s {
+			copy(a.set(s), c.data[k*a.ways:])
+		} else {
+			clear(a.set(s))
+		}
+		a.touch(s)
+	}
+}
+
+// Snapshot is a frozen copy of one cache level's simulation state.
+type Snapshot struct {
+	lines  setsCopy[Line]
+	stats  Stats
+	policy any
+}
+
+// Snapshot captures the cache's lines, counters and replacement-policy
+// state. Sets never mutated since New are not copied, so a cold
+// snapshot copies no lines at all.
+func (c *Cache) Snapshot() *Snapshot {
+	s := &Snapshot{lines: c.lines.save(), stats: c.stats}
 	if sp, ok := c.policy.(statefulPolicy); ok {
 		s.policy = sp.SaveState()
 	}
@@ -40,19 +114,10 @@ func (c *Cache) Snapshot() *Snapshot {
 
 // Restore rewinds the cache to a snapshot taken from the same cache
 // (same geometry and policy). Backing arrays are reused, and only sets
-// mutated since the snapshot are copied back: a set whose stamp is at
-// most the snapshot's version still holds exactly the captured lines.
-// Copied sets are re-stamped with fresh versions, which is conservative
-// under interleaved snapshots — a later Restore against an older
-// snapshot may recopy an already-clean set, never the reverse.
+// mutated since the snapshot are written back, so a warm restore costs
+// O(sets touched since the snapshot) copying and allocates nothing.
 func (c *Cache) Restore(s *Snapshot) {
-	for i := range c.sets {
-		if c.stamp[i] <= s.asOf {
-			continue
-		}
-		copy(c.sets[i], s.sets[i])
-		c.touch(i)
-	}
+	c.lines.restore(s.lines)
 	c.stats = s.stats
 	if sp, ok := c.policy.(statefulPolicy); ok && s.policy != nil {
 		sp.RestoreState(s.policy)

@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/absint"
-	"repro/internal/branch"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/memsys"
-	"repro/internal/noise"
 )
 
 // plantSecretPattern fills the secret region with one of two fixed
@@ -41,45 +37,27 @@ type LeakObservation struct {
 	L2       uint64
 }
 
-// observeRun executes prog once on a fresh machine with the chosen
-// secret pattern and captures the observables. Everything else —
-// memory seed, machine seed, scheme RNG stream, noise (none) — is
-// identical across calls, so two observations can only differ through
-// secret-dependent behavior.
-func (g *Generator) observeRun(prog *isa.Program, spec string, o Options, odd bool) (LeakObservation, error) {
-	scheme, err := o.newScheme(spec)
-	if err != nil {
-		return LeakObservation{}, err
-	}
-	coreMem := mem.NewMemory()
-	g.InitMemory(o.MemSeed, coreMem)
-	g.plantSecretPattern(coreMem, odd)
-	hier := memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), coreMem)
-	core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
-	st := core.Run(prog)
-	return LeakObservation{
-		Cycles:   st.Cycles,
-		Squashes: st.Squashes,
-		TimedOut: st.TimedOut,
-		L1D:      hier.L1D().StateFingerprint(),
-		L2:       hier.L2().StateFingerprint(),
-	}, nil
-}
-
-// DynamicLeak runs prog twice under scheme spec on machines that are
-// identical except for the secret region contents and reports whether
-// any observable differs. The machine is deterministic (seeded RNG, no
-// noise), so a difference is secret-dependent by construction — this is
-// the ground truth the abstract interpreter is cross-checked against.
+// DynamicLeak runs prog twice under scheme spec on one rewound machine,
+// once per secret pattern, and reports whether any observable differs.
+// Everything else — memory seed, machine seed, scheme RNG stream, noise
+// (none) — is identical across the runs, so a difference is
+// secret-dependent by construction: the ground truth the abstract
+// interpreter is cross-checked against.
 func (g *Generator) DynamicLeak(prog *isa.Program, spec string, o Options) (leaked bool, detail string, err error) {
-	a, err := g.observeRun(prog, spec, o, false)
-	if err != nil {
-		return false, "", err
+	r := g.newRig(o)
+	var obs [2]LeakObservation
+	for i := range obs {
+		scheme, err := o.newScheme(spec)
+		if err != nil {
+			return false, "", err
+		}
+		core := r.boot(scheme)
+		g.plantSecretPattern(r.mem, i == 1)
+		st := core.Run(prog)
+		obs[i] = LeakObservation{Cycles: st.Cycles, Squashes: st.Squashes, TimedOut: st.TimedOut,
+			L1D: r.hier.L1D().StateFingerprint(), L2: r.hier.L2().StateFingerprint()}
 	}
-	b, err := g.observeRun(prog, spec, o, true)
-	if err != nil {
-		return false, "", err
-	}
+	a, b := obs[0], obs[1]
 	switch {
 	case a.TimedOut != b.TimedOut:
 		return true, fmt.Sprintf("timeout differs (%v vs %v)", a.TimedOut, b.TimedOut), nil

@@ -72,7 +72,7 @@ func TestCorpusEdgeCasesActuallySquash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := g.runScheme(found.Prog, scheme, opts)
+		res := g.newRig(opts).run(found.Prog, scheme)
 		want := uint64(1)
 		if name == "back-to-back-squash" {
 			want = 2

@@ -101,7 +101,39 @@ type memAdapter struct{ m *mem.Memory }
 func (a memAdapter) ReadWord(addr uint64) uint64     { return a.m.ReadWord(mem.Addr(addr)) }
 func (a memAdapter) WriteWord(addr uint64, v uint64) { a.m.WriteWord(mem.Addr(addr), v) }
 
-// runResult is one core execution's observable outcome.
+// rig is the scheme-independent part of a fuzz machine — memory,
+// hierarchy and predictor for one MemSeed and MachineSeed — with their
+// cold state. A check call builds one, boots a fresh core and scheme on
+// it per run, and drops it on return; the Generator stays stateless.
+type rig struct {
+	mem      *mem.Memory
+	hier     *memsys.Hierarchy
+	pred     *branch.Predictor
+	coldMem  *mem.Memory
+	coldHier *memsys.State
+	coldPred any
+}
+
+// newRig builds the parts from scratch and records their cold state.
+func (g *Generator) newRig(o Options) *rig {
+	m := mem.NewMemory()
+	g.InitMemory(o.MemSeed, m)
+	r := &rig{mem: m, hier: memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), m), pred: branch.New(branch.DefaultConfig())}
+	r.coldMem, r.coldHier, r.coldPred = m.Fork(), r.hier.SaveState(), r.pred.SaveState()
+	return r
+}
+
+// boot rewinds the parts to their cold state and returns a fresh core
+// running scheme on them.
+func (r *rig) boot(scheme undo.Scheme) *cpu.CPU {
+	r.mem.Restore(r.coldMem)
+	r.hier.RestoreState(r.coldHier)
+	r.pred.RestoreState(r.coldPred)
+	return cpu.MustNew(cpu.DefaultConfig(), r.hier, r.pred, scheme, noise.None{})
+}
+
+// runResult is one core execution's observable outcome. Its memory is
+// the rig's, so compare it before the rig's next run.
 type runResult struct {
 	regs     [isa.NumRegs]uint64
 	memory   *mem.Memory
@@ -113,33 +145,30 @@ type runResult struct {
 	residue  []mem.Addr
 }
 
-// runScheme executes prog on a fresh machine under the given scheme.
-func (g *Generator) runScheme(prog *isa.Program, scheme undo.Scheme, o Options) runResult {
-	coreMem := mem.NewMemory()
-	g.InitMemory(o.MemSeed, coreMem)
-	hier := memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), coreMem)
-	core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
+// run executes prog under scheme on the rewound rig.
+func (r *rig) run(prog *isa.Program, scheme undo.Scheme) runResult {
+	core := r.boot(scheme)
 	checker := trace.NewChecker()
 	hasher := newTraceHasher(checker)
 	core.SetTracer(hasher)
 	st := core.Run(prog)
 
 	res := runResult{
-		memory:   coreMem,
+		memory:   r.mem,
 		cycles:   st.Cycles,
 		traceSum: hasher.Sum(),
 		squashes: st.Squashes,
 		timedOut: st.TimedOut,
 		checker:  checker,
 	}
-	for r := isa.Reg(1); r < isa.NumRegs; r++ {
-		res.regs[r] = core.Reg(r)
+	for reg := isa.Reg(1); reg < isa.NumRegs; reg++ {
+		res.regs[reg] = core.Reg(reg)
 	}
 	// Rollback-completeness audit: once the program halts every branch
 	// has resolved, so no cache line may still carry a speculative
 	// mark. A scheme that "forgot" to invalidate or commit a transient
 	// line leaves exactly this residue behind.
-	res.residue = append(hier.L1D().SpeculativeLines(), hier.L2().SpeculativeLines()...)
+	res.residue = append(r.hier.L1D().SpeculativeLines(), r.hier.L2().SpeculativeLines()...)
 	return res
 }
 
@@ -161,13 +190,14 @@ func (g *Generator) CheckProgram(prog *isa.Program, o Options) []Divergence {
 	}
 
 	var out []Divergence
+	r := g.newRig(o)
 	for _, spec := range o.schemes() {
 		scheme, err := o.newScheme(spec)
 		if err != nil {
 			out = append(out, Divergence{Property: "arch-state", Scheme: spec, Detail: err.Error()})
 			continue
 		}
-		res := g.runScheme(prog, scheme, o)
+		res := r.run(prog, scheme)
 		if res.timedOut {
 			out = append(out, Divergence{Property: "timeout", Scheme: spec, Detail: "core watchdog tripped"})
 			continue
@@ -208,20 +238,22 @@ func (g *Generator) CheckProgram(prog *isa.Program, o Options) []Divergence {
 	return out
 }
 
-// CheckDeterminism runs prog twice under each scheme on identical
-// fresh machines and requires identical cycle counts and trace hashes:
-// identical seed ⇒ identical execution, the property that makes every
-// witness in the corpus replayable.
+// CheckDeterminism runs prog twice under each scheme on one machine,
+// rewound before each run, and requires identical cycle counts and
+// trace hashes: identical seed ⇒ identical execution, the property that
+// makes every witness in the corpus replayable. An incomplete rewind
+// shows up here as a divergence too.
 func (g *Generator) CheckDeterminism(prog *isa.Program, o Options) []Divergence {
 	var out []Divergence
+	r := g.newRig(o)
 	for _, spec := range o.schemes() {
 		s1, err := o.newScheme(spec)
 		if err != nil {
 			continue
 		}
 		s2, _ := o.newScheme(spec)
-		a := g.runScheme(prog, s1, o)
-		b := g.runScheme(prog, s2, o)
+		a := r.run(prog, s1)
+		b := r.run(prog, s2)
 		if a.cycles != b.cycles {
 			out = append(out, Divergence{
 				Property: "determinism", Scheme: spec,
@@ -263,13 +295,13 @@ func (r LeakReport) String() string {
 }
 
 // CheckContainment runs the metamorphic squash-containment property:
-// the leak-gadget program runs on fresh machines with secret = 0 and
-// secret = 1 across `trials` machine seeds, and the attacker-visible
-// timings are classified against the secret. Under a perfect defense
-// both observables stay at chance; a report above the caller's
-// threshold is a leak. (For cleanupspec the victim-time observable
-// *should* leak — that is the paper's attack — which is exactly what
-// makes this property useful for telling defenses apart.)
+// the leak-gadget program runs with secret = 0 and secret = 1 on one
+// rewound machine per machine seed, across `trials` seeds, and the
+// attacker-visible timings are classified against the secret. Under a
+// perfect defense both observables stay at chance; a report above the
+// caller's threshold is a leak. (For cleanupspec the victim-time
+// observable *should* leak — that is the paper's attack — which is
+// exactly what makes this property useful for telling defenses apart.)
 func (g *Generator) CheckContainment(spec string, trials int, o Options) (LeakReport, error) {
 	if trials < 2 {
 		trials = 2
@@ -277,18 +309,16 @@ func (g *Generator) CheckContainment(spec string, trials int, o Options) (LeakRe
 	prog := g.LeakGadget()
 	var victim0, victim1, probe0, probe1 []float64
 	for t := 0; t < trials; t++ {
+		opts := o
+		opts.MachineSeed = o.MachineSeed + int64(t)
+		r := g.newRig(opts)
 		for bit := 0; bit <= 1; bit++ {
-			opts := o
-			opts.MachineSeed = o.MachineSeed + int64(t)
 			scheme, err := opts.newScheme(spec)
 			if err != nil {
 				return LeakReport{}, err
 			}
-			coreMem := mem.NewMemory()
-			g.InitMemory(opts.MemSeed, coreMem)
-			g.PlantSecret(coreMem, bit)
-			hier := memsys.MustNew(memsys.DefaultConfig(opts.MachineSeed), coreMem)
-			core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
+			core := r.boot(scheme)
+			g.PlantSecret(r.mem, bit)
 			st := core.Run(prog)
 			if st.TimedOut {
 				return LeakReport{}, fmt.Errorf("fuzz: leak gadget timed out under %s", spec)

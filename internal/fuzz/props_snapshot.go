@@ -3,13 +3,9 @@ package fuzz
 import (
 	"fmt"
 
-	"repro/internal/branch"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/memsys"
-	"repro/internal/noise"
 )
 
 // CheckSnapshotInvariance runs the snapshot-equivalence property for
@@ -29,7 +25,7 @@ func (g *Generator) CheckSnapshotInvariance(prog *isa.Program, o Options) []Dive
 			out = append(out, Divergence{Property: "snapshot", Scheme: spec, Detail: err.Error()})
 			continue
 		}
-		ref := g.runScheme(prog, refScheme, o)
+		ref := g.newRig(o).run(prog, refScheme)
 		if ref.timedOut || ref.cycles < 4 {
 			continue // too short to fork mid-run; other properties cover it
 		}
@@ -54,10 +50,7 @@ func (g *Generator) checkForkAt(prog *isa.Program, spec string, k uint64, ref ru
 	if err != nil {
 		return fail("%v", err)
 	}
-	coreMem := mem.NewMemory()
-	g.InitMemory(o.MemSeed, coreMem)
-	hier := memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), coreMem)
-	core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
+	core := g.newRig(o).boot(scheme)
 	mach := machine.Of(core)
 
 	full := newTraceHasher(nil) // sees the whole first run, across the fork

@@ -6,12 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/branch"
-	"repro/internal/cpu"
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/memsys"
-	"repro/internal/noise"
 	"repro/internal/telemetry"
 )
 
@@ -19,8 +14,8 @@ import (
 // next to the corpus entry.
 const MetricsExt = ".metrics.json"
 
-// Telemetry replays prog once per scheme on a fully instrumented
-// machine and returns one registry snapshot per scheme spec. The replay
+// Telemetry replays prog once per scheme on a fully instrumented,
+// rewound machine and returns one registry snapshot per scheme spec. The replay
 // honours o.Wrap so an injected fault's telemetry matches the failing
 // run (the wrapper itself stays unbound — only the real machine layers
 // record). Intended for failing programs: the snapshot captures the
@@ -29,16 +24,14 @@ const MetricsExt = ".metrics.json"
 // property checks.
 func (g *Generator) Telemetry(prog *isa.Program, o Options) (map[string]telemetry.Snapshot, error) {
 	out := make(map[string]telemetry.Snapshot, len(o.schemes()))
+	r := g.newRig(o)
 	for _, spec := range o.schemes() {
 		scheme, err := o.newScheme(spec)
 		if err != nil {
 			return nil, err
 		}
 		reg := telemetry.NewRegistry()
-		coreMem := mem.NewMemory()
-		g.InitMemory(o.MemSeed, coreMem)
-		hier := memsys.MustNew(memsys.DefaultConfig(o.MachineSeed), coreMem)
-		core := cpu.MustNew(cpu.DefaultConfig(), hier, branch.New(branch.DefaultConfig()), scheme, noise.None{})
+		core := r.boot(scheme)
 		core.SetMetrics(reg)
 		core.Run(prog)
 		out[spec] = reg.Snapshot()

@@ -361,13 +361,14 @@ func TestInclusionBackInvalidation(t *testing.T) {
 
 func TestRandomizedL2Mapping(t *testing.T) {
 	cfg := DefaultConfig(5)
-	cfg.L2.Mapper = randmap.NewFeistel(0xfeed)
+	mapper := randmap.NewFeistel(0xfeed)
+	cfg.L2.Mapper = mapper
 	h := MustNew(cfg, nil)
 	// Consecutive lines should not land in consecutive L2 sets.
 	consecutive := 0
 	var prev uint64
 	for i := 0; i < 64; i++ {
-		s := h.L2().SetOf(mem.Addr(i * mem.LineSize))
+		s := mapper.MapIndex(mem.Addr(i*mem.LineSize), cfg.L2.Sets)
 		if i > 0 && s == prev+1 {
 			consecutive++
 		}
@@ -376,11 +377,23 @@ func TestRandomizedL2Mapping(t *testing.T) {
 	if consecutive > 8 {
 		t.Fatalf("%d/63 consecutive-set pairs — mapping looks like identity", consecutive)
 	}
-	// And the cache still functions.
+	// And the cache still functions, placing lines where the mapper says.
 	a := mem.Addr(0x123440)
 	h.Read(a, false, 0, 0)
 	if r := h.Read(a, false, 0, 0); !r.L1Hit {
 		t.Fatal("second read should hit")
+	}
+	for i := 1; ; i++ {
+		// A line in a's identity set that the mapper sends elsewhere.
+		b := a + mem.Addr(i*cfg.L2.Sets*mem.LineSize)
+		if mapper.MapIndex(b.Line(), cfg.L2.Sets) == mapper.MapIndex(a.Line(), cfg.L2.Sets) {
+			continue
+		}
+		if h.L2().SetOccupancy(a) != 1 || h.L2().SetOccupancy(b) != 0 {
+			t.Fatalf("L2 set occupancy %d at the mapped set, %d at a's identity set, want 1 and 0",
+				h.L2().SetOccupancy(a), h.L2().SetOccupancy(b))
+		}
+		break
 	}
 }
 
