@@ -223,15 +223,3 @@ func (f *Finder) Prime(lines []mem.Addr) {
 		}
 	}
 }
-
-// PrimedOccupancy reports how many of the lines currently sit in L1 —
-// a verification hook for tests and examples.
-func (f *Finder) PrimedOccupancy(lines []mem.Addr) int {
-	n := 0
-	for _, a := range lines {
-		if f.h.L1D().Probe(a) {
-			n++
-		}
-	}
-	return n
-}

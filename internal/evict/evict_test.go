@@ -129,7 +129,13 @@ func TestPrimeFillsTargetSet(t *testing.T) {
 	target := mem.Addr(0x60000)
 	lines := CongruentL1(target, 8, 4, 0)
 	f.Prime(lines)
-	if occ := f.PrimedOccupancy(lines); occ < 3 {
+	occ := 0
+	for _, a := range lines {
+		if h.L1D().Probe(a) {
+			occ++
+		}
+	}
+	if occ < 3 {
 		t.Fatalf("only %d/4 primed lines resident", occ)
 	}
 	// Every L1 way of the target set is now occupied: the next fill

@@ -291,4 +291,17 @@ func TestMitigationStudy(t *testing.T) {
 	if !strings.HasPrefix(cons.Scheme, "const") {
 		t.Error("scheme naming")
 	}
+
+	// One overhead mechanism: the study's overhead column is Figure 12's
+	// at the same seed and scale, to the bit.
+	fig12, err := whole(Figure12With(newRunner(t), 8, 1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := base.MeanOverhead, fig12.MeanOverhead["no-const"]; got != want {
+		t.Errorf("cleanupspec overhead %v, Figure 12 no-const %v", got, want)
+	}
+	if got, want := cons.MeanOverhead, fig12.MeanOverhead["const-65"]; got != want {
+		t.Errorf("const-65-relaxed overhead %v, Figure 12 const-65 %v", got, want)
+	}
 }

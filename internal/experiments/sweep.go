@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/harness"
@@ -130,37 +131,45 @@ func diffSweepWith(r *harness.Runner, name string, seed int64, evictionSets bool
 func diffCells(seed int64, evictionSets bool, rounds int) []harness.Cell {
 	var cells []harness.Cell
 	for loads := 1; loads <= 8; loads++ {
-		loads := loads
-		cells = append(cells, harness.Cell{
-			ID:   fmt.Sprintf("l%d", loads),
-			Seed: seed,
-			Run: func(t *harness.Trial) (any, error) {
-				a, err := unxpec.New(unxpec.Options{
-					Seed: t.Seed, LoadsInBranch: loads, UseEvictionSets: evictionSets,
-				})
+		cells = append(cells, diffCell(seed, loads, evictionSets, rounds, workload.SchemeFactory{}))
+	}
+	return cells
+}
+
+// diffCell measures mean(secret1) − mean(secret0) over rounds at one
+// load count under scheme; a zero SchemeFactory leaves unxpec's
+// default, CleanupSpec.
+func diffCell(seed int64, loads int, evictionSets bool, rounds int, scheme workload.SchemeFactory) harness.Cell {
+	return harness.Cell{
+		ID:   fmt.Sprintf("l%d", loads),
+		Seed: seed,
+		Run: func(t *harness.Trial) (any, error) {
+			opts := unxpec.Options{Seed: t.Seed, LoadsInBranch: loads, UseEvictionSets: evictionSets}
+			if scheme.New != nil {
+				opts.Scheme = scheme.New()
+			}
+			a, err := unxpec.New(opts)
+			if err != nil {
+				return nil, err
+			}
+			t.Observe(a.Core())
+			a.SetMetrics(t.Metrics)
+			var s0, s1 float64
+			for rr := 0; rr < rounds; rr++ {
+				l0, err := a.MeasureOnceChecked(0)
 				if err != nil {
 					return nil, err
 				}
-				t.Observe(a.Core())
-				a.SetMetrics(t.Metrics)
-				var s0, s1 float64
-				for rr := 0; rr < rounds; rr++ {
-					l0, err := a.MeasureOnceChecked(0)
-					if err != nil {
-						return nil, err
-					}
-					s0 += float64(l0)
-					l1, err := a.MeasureOnceChecked(1)
-					if err != nil {
-						return nil, err
-					}
-					s1 += float64(l1)
+				s0 += float64(l0)
+				l1, err := a.MeasureOnceChecked(1)
+				if err != nil {
+					return nil, err
 				}
-				return DiffPoint{Loads: loads, Diff: (s1 - s0) / float64(rounds)}, nil
-			},
-		})
+				s1 += float64(l1)
+			}
+			return DiffPoint{Loads: loads, Diff: (s1 - s0) / float64(rounds)}, nil
+		},
 	}
-	return cells
 }
 
 // Figure3With reproduces the rollback timing difference without
@@ -294,21 +303,20 @@ func Figure11With(r *harness.Runner, seed int64, bits int) (LeakageResult, *harn
 // instruction counts; 10_000 reproduces the published shape in
 // seconds, larger values sharpen the averages.
 func Figure12With(r *harness.Runner, seed int64, scale int) (Figure12Result, *harness.Report, error) {
-	done, rep, err := sweepCollect[Figure12Cell](r, "figure12", figure12Cells(seed, scale))
+	schemes := workload.StandardSchemes()
+	done, rep, err := sweepCollect[Figure12Cell](r, "figure12", figure12Cells(seed, scale, schemes))
 	if err != nil {
 		return Figure12Result{}, rep, err
 	}
-	return figure12Assemble(done, seed, scale), rep, nil
+	return figure12Assemble(done, seed, scale, schemes), rep, nil
 }
 
-// figure12Cells enumerates the overhead study as shardable cells, one
-// per (workload, scheme) pair.
-func figure12Cells(seed int64, scale int) []harness.Cell {
-	suite := workload.Suite(scale, seed)
-	schemes := workload.StandardSchemes()
-
+// figure12Cells enumerates an overhead study as shardable cells, one
+// per (workload, scheme) pair. The ladder's "unsafe" scheme is the
+// baseline figure12Assemble normalizes against.
+func figure12Cells(seed int64, scale int, schemes []workload.SchemeFactory) []harness.Cell {
 	var cells []harness.Cell
-	for _, w := range suite {
+	for _, w := range workload.Suite(scale, seed) {
 		for _, sf := range schemes {
 			w, sf := w, sf
 			cells = append(cells, harness.Cell{
@@ -329,16 +337,15 @@ func figure12Cells(seed int64, scale int) []harness.Cell {
 }
 
 // figure12Assemble recomputes overheads and per-scheme means from the
-// completed cells.
-func figure12Assemble(done []Figure12Cell, seed int64, scale int) Figure12Result {
-	suite := workload.Suite(scale, seed)
-	schemes := workload.StandardSchemes()
-
+// completed cells. A failed cell leaves its sample out of its scheme's
+// mean; a failed unsafe baseline leaves its workload out of every
+// mean; a scheme with no sample left has no mean.
+func figure12Assemble(done []Figure12Cell, seed int64, scale int, schemes []workload.SchemeFactory) Figure12Result {
 	res := Figure12Result{MeanOverhead: map[string]float64{}}
 	for _, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name)
 	}
-	for _, w := range suite {
+	for _, w := range workload.Suite(scale, seed) {
 		res.Workloads = append(res.Workloads, w.Name)
 	}
 	baseline := map[string]uint64{}
@@ -372,67 +379,73 @@ func figure12Assemble(done []Figure12Cell, seed int64, scale int) Figure12Result
 	return res
 }
 
+// mitigationSchemes is the mitigation study's ladder: the unsafe
+// baseline, then the candidate defenses. Fuzzy time draws its dummy
+// delays from the experiment seed.
+func mitigationSchemes(seed int64) []workload.SchemeFactory {
+	return []workload.SchemeFactory{
+		{Name: "unsafe", New: func() undo.Scheme { return undo.NewUnsafe() }},
+		{Name: "cleanupspec", New: func() undo.Scheme { return undo.NewCleanupSpec() }},
+		{Name: "const-65-relaxed", New: func() undo.Scheme { return undo.NewConstantTime(65, undo.Relaxed) }},
+		{Name: "fuzzy-40", New: func() undo.Scheme { return undo.NewFuzzyTime(40, uint64(seed)) }},
+	}
+}
+
+// mitigationCells enumerates the mitigation study: the Figure 12 cells
+// of its ladder, then one Figure 3 diff cell (one load, no eviction
+// sets) per candidate defense, as residual/<scheme>.
+func mitigationCells(seed int64, scale, rounds int) []harness.Cell {
+	schemes := mitigationSchemes(seed)
+	cells := figure12Cells(seed, scale, schemes)
+	for _, sf := range schemes[1:] {
+		c := diffCell(seed, 1, false, rounds, sf)
+		c.ID = "residual/" + sf.Name
+		cells = append(cells, c)
+	}
+	return cells
+}
+
 // MitigationStudyWith compares constant-time rollback with the paper's
 // proposed fuzzy-time defense on both axes, residual channel width and
-// performance overhead: one cell per candidate scheme.
+// performance overhead, in one sweep: the overhead column comes from
+// Figure 12's cells and assembly over the study's ladder, the residual
+// column from a Figure 3 diff cell per defense. A defense whose
+// residual cell failed, or which has no overhead sample left under
+// Figure 12's gap rule, has no point.
 func MitigationStudyWith(r *harness.Runner, seed int64, scale, rounds int) ([]MitigationPoint, *harness.Report, error) {
-	type mk struct {
-		name string
-		newS func() undo.Scheme
+	rep, err := r.Sweep("mitigation", mitigationCells(seed, scale, rounds))
+	if err != nil {
+		return nil, nil, err
 	}
-	cands := []mk{
-		{"cleanupspec", func() undo.Scheme { return undo.NewCleanupSpec() }},
-		{"const-65-relaxed", func() undo.Scheme { return undo.NewConstantTime(65, undo.Relaxed) }},
-		{"fuzzy-40", func() undo.Scheme { return undo.NewFuzzyTime(40, uint64(seed)) }},
+	var done []Figure12Cell
+	residual := map[string]float64{}
+	for _, o := range rep.Outcomes {
+		if !o.OK() {
+			continue
+		}
+		if name, ok := strings.CutPrefix(o.Cell, rep.Name+"/residual/"); ok {
+			d, err := harness.Decode[DiffPoint](o)
+			if err != nil {
+				return nil, rep, err
+			}
+			residual[name] = d.Diff
+			continue
+		}
+		c, err := harness.Decode[Figure12Cell](o)
+		if err != nil {
+			return nil, rep, err
+		}
+		done = append(done, c)
 	}
-	var cells []harness.Cell
-	for _, c := range cands {
-		c := c
-		cells = append(cells, harness.Cell{
-			ID:   c.name,
-			Seed: seed,
-			Run: func(t *harness.Trial) (any, error) {
-				// Residual channel width: mean over rounds of (secret1−secret0).
-				a, err := unxpec.New(unxpec.Options{Seed: t.Seed, Scheme: c.newS()})
-				if err != nil {
-					return nil, err
-				}
-				t.Observe(a.Core())
-				a.SetMetrics(t.Metrics)
-				var s0, s1 float64
-				for rr := 0; rr < rounds; rr++ {
-					l0, err := a.MeasureOnceChecked(0)
-					if err != nil {
-						return nil, err
-					}
-					s0 += float64(l0)
-					l1, err := a.MeasureOnceChecked(1)
-					if err != nil {
-						return nil, err
-					}
-					s1 += float64(l1)
-				}
-				// Overhead versus unsafe.
-				suite := workload.Suite(scale, t.Seed)
-				var sum float64
-				for _, w := range suite {
-					base, err := workload.RunChecked(w, undo.NewUnsafe(), t.Seed)
-					if err != nil {
-						return nil, err
-					}
-					run, err := workload.RunChecked(w, c.newS(), t.Seed)
-					if err != nil {
-						return nil, err
-					}
-					sum += float64(run.Stats.Cycles)/float64(base.Stats.Cycles) - 1
-				}
-				return MitigationPoint{
-					Scheme:       c.name,
-					ResidualDiff: (s1 - s0) / float64(rounds),
-					MeanOverhead: sum / float64(len(suite)),
-				}, nil
-			},
-		})
+	schemes := mitigationSchemes(seed)
+	mean := figure12Assemble(done, seed, scale, schemes).MeanOverhead
+	var pts []MitigationPoint
+	for _, sf := range schemes[1:] {
+		diff, okR := residual[sf.Name]
+		overhead, okO := mean[sf.Name]
+		if okR && okO {
+			pts = append(pts, MitigationPoint{Scheme: sf.Name, ResidualDiff: diff, MeanOverhead: overhead})
+		}
 	}
-	return sweepCollect[MitigationPoint](r, "mitigation", cells)
+	return pts, rep, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 // TestSweepInjectedFaultsBecomeClassifiedGaps drives a real figure
@@ -158,11 +160,12 @@ func TestSweepResumeByteIdenticalCSV(t *testing.T) {
 func TestSweepCellEnumerationDeterministic(t *testing.T) {
 	const seed = 7
 	sweeps := map[string]func() []harness.Cell{
-		"figure2":  func() []harness.Cell { return resolutionCells(seed, 3, figure2Attack) },
-		"figure3":  func() []harness.Cell { return diffCells(seed, false, 5) },
-		"figure6":  func() []harness.Cell { return diffCells(seed, true, 5) },
-		"figure12": func() []harness.Cell { return figure12Cells(seed, 500) },
-		"figure13": func() []harness.Cell { return resolutionCells(seed, 9, figure13Attack(seed)) },
+		"figure2":    func() []harness.Cell { return resolutionCells(seed, 3, figure2Attack) },
+		"figure3":    func() []harness.Cell { return diffCells(seed, false, 5) },
+		"figure6":    func() []harness.Cell { return diffCells(seed, true, 5) },
+		"figure12":   func() []harness.Cell { return figure12Cells(seed, 500, workload.StandardSchemes()) },
+		"figure13":   func() []harness.Cell { return resolutionCells(seed, 9, figure13Attack(seed)) },
+		"mitigation": func() []harness.Cell { return mitigationCells(seed, 500, 16) },
 	}
 	for name, cells := range sweeps {
 		a, b := cells(), cells()
@@ -179,5 +182,118 @@ func TestSweepCellEnumerationDeterministic(t *testing.T) {
 			}
 			ids[a[i].ID] = true
 		}
+	}
+}
+
+// TestMitigationGapRule injects one failed cell per case into the
+// mitigation sweep and checks Figure 12's gap rule on its points: a
+// failed residual cell omits only that defense, a failed overhead cell
+// drops one sample from that defense's mean, and a failed unsafe
+// baseline drops its workload from every mean. Report.Err names the
+// failed cell each time.
+func TestMitigationGapRule(t *testing.T) {
+	const seed, scale, rounds = 8, 400, 4
+	run := func(inject string) ([]MitigationPoint, *harness.Report) {
+		t.Helper()
+		injs, err := harness.ParseInjections(inject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The default three-attempt budget, with short backoffs.
+		r, err := harness.New(harness.Config{BackoffBase: time.Millisecond, Injections: injs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, rep, err := MitigationStudyWith(r, seed, scale, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts, rep
+	}
+	byScheme := func(pts []MitigationPoint) map[string]MitigationPoint {
+		m := map[string]MitigationPoint{}
+		for _, p := range pts {
+			m[p.Scheme] = p
+		}
+		return m
+	}
+
+	refPts, refRep := run("")
+	if err := refRep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ref := byScheme(refPts)
+	if len(ref) != 3 {
+		t.Fatalf("reference has %d points, want 3", len(ref))
+	}
+	// Per-(workload, scheme) cycles of the reference sweep, from which
+	// each case's expected means are recomputed by hand.
+	cycles := map[[2]string]uint64{}
+	for _, o := range refRep.Outcomes {
+		if strings.Contains(o.Cell, "/residual/") {
+			continue
+		}
+		c, err := harness.Decode[Figure12Cell](o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[[2]string{c.Workload, c.Scheme}] = c.Cycles
+	}
+	mean := func(scheme, skipWorkload string) float64 {
+		var sum float64
+		n := 0
+		for _, w := range workload.Suite(scale, seed) {
+			if w.Name == skipWorkload {
+				continue
+			}
+			sum += float64(cycles[[2]string{w.Name, scheme}])/float64(cycles[[2]string{w.Name, "unsafe"}]) - 1
+			n++
+		}
+		return sum / float64(n)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+
+	for _, tc := range []struct {
+		cell string
+		// want returns the expected point of scheme, or false when the
+		// case omits it.
+		want func(scheme string) (MitigationPoint, bool)
+	}{
+		{"mitigation/residual/fuzzy-40", func(s string) (MitigationPoint, bool) {
+			return ref[s], s != "fuzzy-40"
+		}},
+		{"mitigation/stream/fuzzy-40", func(s string) (MitigationPoint, bool) {
+			p := ref[s]
+			if s == "fuzzy-40" {
+				p.MeanOverhead = mean(s, "stream")
+			}
+			return p, true
+		}},
+		{"mitigation/stream/unsafe", func(s string) (MitigationPoint, bool) {
+			p := ref[s]
+			p.MeanOverhead = mean(s, "stream")
+			return p, true
+		}},
+	} {
+		// A plain panic fires on attempt 1 only and the retry rescues
+		// the cell; ":3" makes it outlast the budget.
+		pts, rep := run("panic:" + tc.cell + ":3")
+		if err := rep.Err(); err == nil || !strings.Contains(err.Error(), tc.cell) {
+			t.Errorf("%s: Report.Err() = %v, want it to name the cell", tc.cell, err)
+		}
+		got := byScheme(pts)
+		for _, s := range []string{"cleanupspec", "const-65-relaxed", "fuzzy-40"} {
+			want, ok := tc.want(s)
+			g, present := got[s]
+			switch {
+			case present != ok:
+				t.Errorf("%s failed: %s point present=%v, want %v", tc.cell, s, present, ok)
+			case ok && (g.ResidualDiff != want.ResidualDiff || !near(g.MeanOverhead, want.MeanOverhead)):
+				t.Errorf("%s failed: %s point %+v, want %+v", tc.cell, s, g, want)
+			}
+		}
+	}
+	if mean("fuzzy-40", "stream") == ref["fuzzy-40"].MeanOverhead {
+		t.Error("dropping stream leaves fuzzy-40's mean unchanged; the cases above prove nothing")
 	}
 }

@@ -150,14 +150,6 @@ func (g *Generator) Program(seed int64) *isa.Program {
 	return g.ProgramWithRNG(rng, blocks)
 }
 
-// ProgramWithBlocks builds the random program for seed with a fixed
-// block count, skipping the block-count draw Program performs. The
-// historical noise co-simulation schedule used this shape, so keeping
-// it preserves those exact regression programs.
-func (g *Generator) ProgramWithBlocks(seed int64, blocks int) *isa.Program {
-	return g.ProgramWithRNG(rand.New(rand.NewSource(seed)), blocks)
-}
-
 // ProgramWithRNG builds a random terminating program of `blocks` blocks
 // from an existing random stream: a prologue of constants, then blocks
 // chosen per the configured weights (ALU chains, load/store pairs into

@@ -277,13 +277,23 @@ func Collect[T any](rep *Report) ([]T, error) {
 		if !o.OK() {
 			continue
 		}
-		var v T
-		if err := json.Unmarshal(o.Value, &v); err != nil {
-			return nil, fmt.Errorf("harness: decoding cell %s: %w", o.Cell, err)
+		v, err := Decode[T](o)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Decode decodes one successful cell's value, for sweeps whose cells
+// return values of more than one type.
+func Decode[T any](o Outcome) (T, error) {
+	var v T
+	if err := json.Unmarshal(o.Value, &v); err != nil {
+		return v, fmt.Errorf("harness: decoding cell %s: %w", o.Cell, err)
+	}
+	return v, nil
 }
 
 // Runner executes sweeps under one campaign configuration. A single

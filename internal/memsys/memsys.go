@@ -13,6 +13,7 @@ package memsys
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -69,6 +70,15 @@ func UnsafeConfig() Config {
 	return cfg
 }
 
+// ConfigError is the error Validate returns for a bad hierarchy-level
+// field; a bad cache level fails with that level's *cache.ConfigError.
+type ConfigError struct {
+	Field  string // the rejected Config field, e.g. "MemLatency"
+	Detail string
+}
+
+func (e *ConfigError) Error() string { return "memsys: " + e.Detail }
+
 // Validate checks all nested configurations.
 func (c Config) Validate() error {
 	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2} {
@@ -77,7 +87,19 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.MemLatency < 0 {
-		return fmt.Errorf("memsys: negative memory latency")
+		return &ConfigError{Field: "MemLatency", Detail: "negative memory latency"}
+	}
+	// The slowest access pays an L1 latency, the L2's twice (a miss
+	// behind an MSHR stall) and memory's: capping each at a quarter of
+	// the int range keeps that sum from wrapping negative.
+	for _, l := range []struct {
+		field string
+		v     int
+	}{{"L1I.HitLatency", c.L1I.HitLatency}, {"L1D.HitLatency", c.L1D.HitLatency},
+		{"L2.HitLatency", c.L2.HitLatency}, {"MemLatency", c.MemLatency}} {
+		if l.v > math.MaxInt/4 {
+			return &ConfigError{Field: l.field, Detail: fmt.Sprintf("%s %d cycles would overflow an access latency", l.field, l.v)}
+		}
 	}
 	return nil
 }

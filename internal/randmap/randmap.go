@@ -86,34 +86,3 @@ func (f *Feistel) MapIndex(line mem.Addr, sets int) uint64 {
 
 // Name implements cache.IndexMapper.
 func (f *Feistel) Name() string { return "ceaser-feistel" }
-
-// FindCongruent returns n distinct line addresses (other than target)
-// that map to the same set as target in a cache with the given number of
-// sets. It inverts the permutation, so it is an oracle available to
-// tests and to the *defender*; the attacker in package evict must find
-// congruent addresses by timing, as in the real attack.
-func (f *Feistel) FindCongruent(target mem.Addr, sets, n int) []mem.Addr {
-	want := f.MapIndex(target, sets)
-	out := make([]mem.Addr, 0, n)
-	// Walk the permuted space: addresses whose permuted index has the
-	// right low bits. Enumerate encIdx = want + k*sets and invert.
-	for k := uint64(0); len(out) < n; k++ {
-		enc := want | (k << uint(trailingBits(sets)))
-		lineIdx := f.Unpermute(enc)
-		a := mem.Addr(lineIdx << mem.LineShift)
-		if a.Line() == target.Line() {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-func trailingBits(sets int) int {
-	n := 0
-	for sets > 1 {
-		sets >>= 1
-		n++
-	}
-	return n
-}

@@ -62,30 +62,6 @@ func TestMapIndexUniformity(t *testing.T) {
 	}
 }
 
-func TestFindCongruent(t *testing.T) {
-	f := NewFeistel(5)
-	const sets = 2048
-	target := mem.Addr(0x4_0000)
-	cong := f.FindCongruent(target, sets, 16)
-	if len(cong) != 16 {
-		t.Fatalf("got %d congruent addresses", len(cong))
-	}
-	want := f.MapIndex(target, sets)
-	seen := map[mem.Addr]bool{}
-	for _, a := range cong {
-		if f.MapIndex(a, sets) != want {
-			t.Fatalf("%s maps to set %d, want %d", a, f.MapIndex(a, sets), want)
-		}
-		if a.Line() == target.Line() {
-			t.Fatal("target itself returned as congruent")
-		}
-		if seen[a.Line()] {
-			t.Fatalf("duplicate congruent address %s", a)
-		}
-		seen[a.Line()] = true
-	}
-}
-
 func TestMapperName(t *testing.T) {
 	if NewFeistel(0).Name() != "ceaser-feistel" {
 		t.Fatal("unexpected mapper name")

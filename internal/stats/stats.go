@@ -119,9 +119,6 @@ func NewKDE(sample []float64, bandwidth float64) (*KDE, error) {
 	return &KDE{sample: cp, bandwidth: bandwidth}, nil
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // Density evaluates the estimated PDF at x.
 func (k *KDE) Density(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327

@@ -114,8 +114,10 @@ func TestKDEConstantSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Bandwidth() <= 0 {
-		t.Fatal("bandwidth must be positive for a constant sample")
+	// A zero bandwidth would make the density at the constant infinite
+	// or NaN.
+	if d := k.Density(5); math.IsInf(d, 0) || math.IsNaN(d) || d <= 0 {
+		t.Fatalf("density %v at the constant, want finite and positive", d)
 	}
 	if k.Density(5) <= k.Density(50) {
 		t.Fatal("density should peak at the constant")
